@@ -1,4 +1,4 @@
-// Head-to-head benchmark of the slab/calendar event engine against the
+// Head-to-head benchmark of the slab + keyed-heap event engine against the
 // engine it replaced: a binary heap of std::function entries with
 // shared_ptr<bool> cancellation flags and lazy removal.
 //
@@ -15,7 +15,11 @@
 //                    fire, the way retransmit/keepalive timers behave;
 //                    ~90% of scheduled events are cancelled before firing
 //
-// Writes BENCH_event_engine.json with ns/op per engine and the speedups.
+// Writes BENCH_event_engine.json in the working directory: a "macro" line
+// with ns/op over all three workloads combined and a "micro" row per
+// workload, each with ns/op per engine and the speedup.  Record a run into
+// the checked-in trajectory with
+//   tools/bench_record.sh <label> BENCH_event_engine.json <repo>/BENCH_event_engine.json
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -345,7 +349,24 @@ int main() {
     std::fprintf(stderr, "cannot open BENCH_event_engine.json\n");
     return 1;
   }
-  std::fprintf(out, "{\n  \"bench\": \"event_engine\",\n  \"workloads\": [\n");
+  // Ops-weighted over the workloads: total time / total ops per engine.
+  std::uint64_t total_ops = 0;
+  double ref_ns = 0.0;
+  double engine_ns = 0.0;
+  for (const Row& r : rows) {
+    total_ops += r.ref.ops;
+    ref_ns += r.ref.ns_per_op * static_cast<double>(r.ref.ops);
+    engine_ns += r.engine.ns_per_op * static_cast<double>(r.engine.ops);
+  }
+  const double n_ops = static_cast<double>(total_ops);
+  std::fprintf(out, "{\n  \"bench\": \"event_engine\",\n");
+  std::fprintf(out,
+               "  \"macro\": {\"ops\": %llu, "
+               "\"seed_engine_ns_per_op\": %.2f, "
+               "\"slab_engine_ns_per_op\": %.2f, \"speedup\": %.2f},\n",
+               static_cast<unsigned long long>(total_ops), ref_ns / n_ops,
+               engine_ns / n_ops, ref_ns / engine_ns);
+  std::fprintf(out, "  \"micro\": [\n");
   const int n = static_cast<int>(sizeof(rows) / sizeof(rows[0]));
   for (int i = 0; i < n; ++i) {
     const Row& r = rows[i];

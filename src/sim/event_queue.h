@@ -14,13 +14,11 @@
 //   * Cancellation tokens are {slot, generation} pairs.  Firing, cancelling
 //     or completing an event bumps the slot's generation, so stale handles
 //     become inert automatically — no shared_ptr, no reference counting.
-//   * Near-future events sit in a calendar (bucket) queue giving O(1)
-//     schedule/pop for the periodic protocol loops; far-future events spill
-//     into a binary heap and migrate into buckets as the clock advances.
-//     Bucket geometry adapts to the live event population.
-//   * cancel() eagerly unlinks the record (O(1) from a bucket, O(log n)
-//     from the spill heap), so churn-heavy runs never accumulate dead
-//     entries.
+//   * Scheduled events sit in one indexed d-ary min-heap.  Its entries are
+//     {time, seq, slot} keys in a contiguous array, so sift comparisons
+//     never touch the slab; each record keeps its heap index (`pos`).
+//   * cancel() eagerly removes the record's key (O(log n)), so churn-heavy
+//     runs never accumulate dead entries.
 //   * Periodic events are first-class: one record is reused for the whole
 //     series and the n-th occurrence fires at first + n*period computed
 //     with absolute arithmetic (no floating-point drift accumulation).
@@ -188,11 +186,10 @@ class EventHandle {
   std::uint64_t id_ = 0;  ///< generation in the high 32 bits, slot in the low
 };
 
-/// Calendar/heap hybrid priority queue of events keyed by (time, sequence).
+/// Indexed d-ary min-heap of events keyed by (time, sequence).
 class EventQueue {
  public:
-  EventQueue();
-  ~EventQueue();
+  EventQueue() = default;
 
   EventQueue(const EventQueue&) = delete;
   EventQueue& operator=(const EventQueue&) = delete;
@@ -227,7 +224,10 @@ class EventQueue {
   std::size_t size() const noexcept { return live_; }
 
   /// Timestamp of the earliest live event.  Requires !empty().
-  Time next_time();
+  Time next_time() const noexcept {
+    assert(!empty());
+    return heap_.front().time;
+  }
 
   /// Removes the earliest event, calls `on_fire(time)` (callers use this to
   /// advance their clock), then runs the event callback.  Returns false if
@@ -261,17 +261,10 @@ class EventQueue {
     return run_next([](Time) {});
   }
 
-  // --- instrumentation (tests / benches) ---------------------------------
-
-  /// Buckets currently allocated in the calendar tier.
-  std::size_t bucket_count() const noexcept { return buckets_.size(); }
-  /// Live events currently in the spill heap (far future).
-  std::size_t spill_size() const noexcept { return heap_.size(); }
-
-  /// Exhaustive structural validation of the slab, calendar, spill heap and
-  /// free list: every slot accounted for exactly once, link fields and
-  /// cached counters consistent, heap ordered, cursor and bucket positions
-  /// correct.  Returns an empty string when consistent, else a description
+  /// Exhaustive structural validation of the slab, heap and free list:
+  /// every slot accounted for exactly once, each key equal to its record's
+  /// (time, seq), back-pointers and cached counters consistent, heap
+  /// ordered.  Returns an empty string when consistent, else a description
   /// of the first inconsistency.  O(slots); used by the invariant auditor
   /// and the tests, never by the hot path.
   std::string self_check() const;
@@ -283,16 +276,12 @@ class EventQueue {
   static constexpr std::uint32_t kNil = 0xFFFFFFFFu;
   static constexpr std::size_t kChunkShift = 9;  // 512 records per chunk
   static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-  static constexpr std::size_t kMinBuckets = 64;
-  static constexpr std::size_t kMaxBuckets = std::size_t{1} << 20;
-  // Calendar geometry is raw seconds: this file is a whitelisted value()
-  // boundary — the bucket math is where time legitimately is a number.
-  static constexpr double kMinBucketWidth = 1e-9;
+  /// Children per heap node.
+  static constexpr std::size_t kArity = 4;
 
   enum class Where : std::uint8_t {
     kFree,       ///< on the free list
-    kBucket,     ///< linked into a calendar bucket
-    kHeap,       ///< in the spill heap
+    kHeap,       ///< scheduled: its key is in the heap
     kExecuting,  ///< unlinked, callback running (periodic) or being freed
   };
 
@@ -300,9 +289,8 @@ class EventQueue {
     Time time{};
     std::uint64_t seq = 0;
     std::uint32_t generation = 0;
-    std::uint32_t prev = kNil;  ///< bucket list link (kBucket only)
-    std::uint32_t next = kNil;  ///< bucket list link / free list link
-    std::uint32_t pos = 0;      ///< bucket index (kBucket) or heap index (kHeap)
+    std::uint32_t next = kNil;  ///< free list link
+    std::uint32_t pos = 0;      ///< index of the record's key in heap_
     Where where = Where::kFree;
     bool periodic = false;
     Duration period{};
@@ -310,6 +298,18 @@ class EventQueue {
     std::uint64_t fires = 0;    ///< completed occurrences of the series
     detail::InlineFn fn;
   };
+
+  /// A heap entry: a copy of the record's ordering key plus its slot.
+  struct Key {
+    Time time;
+    std::uint64_t seq;
+    std::uint32_t slot;
+  };
+
+  static bool earlier(const Key& a, const Key& b) noexcept {
+    if (a.time != b.time) return a.time < b.time;
+    return a.seq < b.seq;
+  }
 
   Record& record(std::uint32_t slot) noexcept {
     return chunks_[slot >> kChunkShift][slot & (kChunkSize - 1)];
@@ -332,22 +332,14 @@ class EventQueue {
   EventHandle arm(std::uint32_t slot, Time at, bool periodic,
                   Duration period);
   void link(std::uint32_t slot);
-  void place(std::uint32_t slot);
   void unlink(std::uint32_t slot) noexcept;
-  std::uint32_t find_min();
-  std::uint32_t take_next();
+  std::uint32_t take_next() noexcept;
   void fire_periodic(std::uint32_t slot);
-  void advance_year(Time t) noexcept;
-  std::size_t bucket_index(Time t) const noexcept;
-  void maybe_rebuild();
-  void rebuild();
 
-  // Spill heap (indices into the slab, ordered by (time, seq)).
-  bool heap_earlier(std::uint32_t a, std::uint32_t b) const noexcept;
-  void heap_push(std::uint32_t slot);
-  void heap_remove(std::size_t index) noexcept;
-  void heap_sift_up(std::size_t index) noexcept;
-  void heap_sift_down(std::size_t index) noexcept;
+  // Heap of keys; every move of a key updates its record's `pos`.
+  void put(std::size_t index, const Key& key) noexcept;
+  void sift_up(std::size_t index, Key key) noexcept;
+  void sift_down(std::size_t index, Key key) noexcept;
 
   // Handle operations (via EventHandle).
   void cancel_id(std::uint64_t id) noexcept;
@@ -357,24 +349,10 @@ class EventQueue {
   std::uint32_t free_head_ = kNil;
   std::uint32_t slot_count_ = 0;
 
-  std::vector<std::uint32_t> buckets_;  ///< head slot per bucket (kNil = empty)
-  std::vector<std::uint32_t> heap_;
-  std::vector<std::uint32_t> scratch_;  ///< reused by rebuild()
+  std::vector<Key> heap_;
 
-  double bucket_width_ = 1e-3;
-  double inv_bucket_width_ = 1e3;  ///< 1 / bucket_width_ (avoids div on place)
-  double year_span_ = 0.0;   ///< bucket_width_ * buckets_.size()
-  double year_start_ = 0.0;  ///< calendar covers [year_start_, year_start_+span)
-  std::size_t cursor_ = 0;  ///< no bucketed event lives before this bucket
-
-  std::size_t live_ = 0;      ///< scheduled events (buckets + heap)
-  std::size_t bucketed_ = 0;  ///< events in the calendar tier
-  std::size_t geometry_events_ = 0;  ///< live count when geometry was chosen
-  std::size_t peak_live_ = 0;  ///< max live count since the last rebuild
-  std::size_t ops_since_rebuild_ = 0;  ///< rate-limits geometry changes
-  bool spill_futile_ = false;  ///< last rebuild left most events spilled
+  std::size_t live_ = 0;  ///< scheduled events (keys in heap_)
   std::uint64_t next_seq_ = 0;
-  std::uint32_t cached_min_ = kNil;  ///< memoized find_min() result
 };
 
 inline void EventHandle::cancel() noexcept {

@@ -145,7 +145,7 @@ TEST(HotpathAllocationTest, GossipSendPathIsAllocationFree) {
   ASSERT_NE(a, nullptr);
 
   // Warm-up round: grows the arena pool, the event slab and the event
-  // queue's spill heap.  3x the counted burst so every capacity peaks well
+  // queue's heap.  3x the counted burst so every capacity peaks well
   // above what the counted region can reach even with background gossip
   // still in flight at the measurement boundary; then drain (uncounted —
   // the global tick's status reports legitimately allocate).

@@ -24,8 +24,14 @@ struct EventQueueTestAccess {
     q.record(slot).seq = q.next_seq_ + 1000;
   }
   static void corrupt_time(EventQueue& q, std::uint32_t slot) {
-    q.record(slot).time =
-        Time(q.year_start_ + 2.0 * q.year_span_ + 1.0);
+    q.record(slot).time += Duration(1.0);
+  }
+  /// Moves heap entry `index` (key and record alike, so only the order is
+  /// wrong) to before the root's time.
+  static void corrupt_order(EventQueue& q, std::size_t index) {
+    const Time before_root = q.heap_.front().time - Duration(1.0);
+    q.heap_[index].time = before_root;
+    q.record(q.heap_[index].slot).time = before_root;
   }
   static void corrupt_live_counter(EventQueue& q) { q.live_ += 1; }
 };
@@ -39,8 +45,8 @@ TEST(EventQueueSelfCheckTest, EmptyQueueIsConsistent) {
 
 TEST(EventQueueSelfCheckTest, BusyQueueIsConsistent) {
   EventQueue q;
-  // Near events (calendar tier), far events (spill heap), periodic series,
-  // and cancellations — every structural path.
+  // Near events, far events, periodic series and cancellations — every
+  // structural path.
   std::vector<EventHandle> handles;
   int fired = 0;
   for (int i = 0; i < 200; ++i) {
@@ -69,12 +75,13 @@ TEST(EventQueueSelfCheckTest, DetectsWhereFlippedToFree) {
   EXPECT_NE(q.self_check(), "");
 }
 
-TEST(EventQueueSelfCheckTest, DetectsBucketPositionMismatch) {
+TEST(EventQueueSelfCheckTest, DetectsHeapPositionMismatch) {
   EventQueue q;
-  q.schedule(Time(0.0001), [] {});  // lands in the calendar tier
+  for (int i = 0; i < 8; ++i) q.schedule(Time(1.0 + i), [] {});
   ASSERT_EQ(q.self_check(), "");
-  EventQueueTestAccess::corrupt_pos(q, 0);
-  EXPECT_NE(q.self_check(), "");
+  EventQueueTestAccess::corrupt_pos(q, 3);
+  const std::string report = q.self_check();
+  EXPECT_NE(report.find("pos"), std::string::npos) << report;
 }
 
 TEST(EventQueueSelfCheckTest, DetectsSequenceFromTheFuture) {
@@ -85,12 +92,22 @@ TEST(EventQueueSelfCheckTest, DetectsSequenceFromTheFuture) {
   EXPECT_NE(q.self_check(), "");
 }
 
-TEST(EventQueueSelfCheckTest, DetectsTimeOutsideTheCalendarYear) {
+TEST(EventQueueSelfCheckTest, DetectsKeyRecordMismatch) {
   EventQueue q;
   q.schedule(Time(0.0001), [] {});
   ASSERT_EQ(q.self_check(), "");
   EventQueueTestAccess::corrupt_time(q, 0);
-  EXPECT_NE(q.self_check(), "");
+  const std::string report = q.self_check();
+  EXPECT_NE(report.find("heap key"), std::string::npos) << report;
+}
+
+TEST(EventQueueSelfCheckTest, DetectsHeapOrderViolation) {
+  EventQueue q;
+  for (int i = 0; i < 32; ++i) q.schedule(Time(1.0 + i), [] {});
+  ASSERT_EQ(q.self_check(), "");
+  EventQueueTestAccess::corrupt_order(q, 9);  // two levels below the root
+  const std::string report = q.self_check();
+  EXPECT_NE(report.find("heap property"), std::string::npos) << report;
 }
 
 TEST(EventQueueSelfCheckTest, DetectsLiveCounterDrift) {

@@ -217,16 +217,69 @@ TEST(EventQueueTest, PeriodicCancelFromInsideCallbackStopsSeries) {
   EXPECT_FALSE(h.pending());
 }
 
-TEST(EventQueueTest, FarFutureEventsSpillAndReturn) {
+TEST(EventQueueTest, NearAndFarFutureEventsFireInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  // A mix of near events and events far beyond any calendar window.
+  // Events eight orders of magnitude apart, scheduled out of order.
   q.schedule(Time(100000.0), [&] { order.push_back(3); });
   q.schedule(Time(0.001), [&] { order.push_back(1); });
   q.schedule(Time(50000.0), [&] { order.push_back(2); });
-  EXPECT_GT(q.spill_size(), 0u);
   drain(q);
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
+TEST(EventQueueTest, InfiniteTimesFireLastInSequenceOrder) {
+  // Time::max() is +infinity ("never" timers).  Such events share the heap
+  // with finite ones, order among themselves by insertion sequence, and
+  // cancel like any other event.
+  EventQueue q;
+  std::vector<int> order;
+  std::vector<Time> fire_times;
+  std::vector<EventHandle> never;
+  std::vector<EventHandle> finite;
+  const auto push = [&order](int tag) {
+    return [&order, tag] { order.push_back(tag); };
+  };
+  for (int i = 0; i < 6; ++i) {
+    never.push_back(q.schedule(Time::max(), push(100 + i)));
+    finite.push_back(q.schedule(Time(10.0 - i), push(i)));
+  }
+  ASSERT_EQ(q.self_check(), "");
+
+  never[1].cancel();
+  never[4].cancel();
+  finite[2].cancel();
+  EXPECT_FALSE(never[1].pending());
+  EXPECT_FALSE(finite[2].pending());
+  EXPECT_TRUE(never[0].pending());
+  EXPECT_EQ(q.size(), 9u);
+  ASSERT_EQ(q.self_check(), "");
+
+  const auto on_fire = [&fire_times](Time t) { fire_times.push_back(t); };
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_TRUE(q.run_next(on_fire));
+    ASSERT_EQ(q.self_check(), "");
+  }
+  EXPECT_EQ(order, (std::vector<int>{5, 4, 3}));
+
+  // Late additions: the largest finite time still precedes infinity, and a
+  // new infinite event queues behind the older ones.
+  q.schedule(Time(1e300), push(50));
+  q.schedule(Time::max(), push(106));
+  finite[0].cancel();
+  ASSERT_EQ(q.self_check(), "");
+  while (q.run_next(on_fire)) {
+    ASSERT_EQ(q.self_check(), "");
+  }
+
+  EXPECT_EQ(order, (std::vector<int>{5, 4, 3, 1, 50, 100, 102, 103, 105, 106}));
+  ASSERT_EQ(fire_times.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    EXPECT_EQ(fire_times[i] == Time::max(), order[i] >= 100) << "index " << i;
+  }
+  for (const auto& h : never) EXPECT_FALSE(h.pending());
+  EXPECT_TRUE(q.empty());
+  EXPECT_EQ(q.self_check(), "");
 }
 
 TEST(EventQueueTest, ManyEventsStressOrder) {
@@ -251,7 +304,7 @@ TEST(EventQueueTest, ManyEventsStressOrder) {
 // ---------------------------------------------------------------------------
 
 /// The seed implementation's ordering semantics, reduced to its essentials:
-/// a lazy binary heap keyed by (time, insertion sequence).  The calendar
+/// a lazy binary heap keyed by (time, insertion sequence).  The slab
 /// engine must execute the exact same (time, seq) sequence.
 class ReferenceQueue {
  public:
@@ -382,19 +435,6 @@ TEST(EventQueueTest, MatchesReferenceEngineUnderRandomWorkload) {
           << "seed " << seed << " index " << i;
     }
   }
-}
-
-TEST(EventQueueTest, CalendarGeometryAdapts) {
-  EventQueue q;
-  const std::size_t initial = q.bucket_count();
-  Rng rng(7);
-  std::vector<EventHandle> handles;
-  for (int i = 0; i < 5000; ++i) {
-    handles.push_back(q.schedule(Time(rng.uniform(0.0, 10.0)), [] {}));
-  }
-  EXPECT_GT(q.bucket_count(), initial);  // grew with the population
-  for (auto& h : handles) h.cancel();
-  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 # directory (usually the build tree): one `"macro": {...}` line plus a
 # `"micro": [...]` array (possibly empty).  Producers today:
 #   bench/protocol_hotpath.cpp       -> BENCH_protocol_hotpath.json
+#   bench/micro_event_queue.cpp      -> BENCH_event_engine.json
+#   bench/fig09_scalability.cpp      -> BENCH_sim_scale.json (--peak)
 #   tools/layout_census --bench=FILE -> BENCH_sim_scale.json (bytes/peer)
 # This script wraps such a run with a label, the date, and a machine tag,
 # and appends it to the trajectory array in the matching repository-root
