@@ -101,6 +101,10 @@ class BufferMap {
   const SeqNum* latest_data() const noexcept { return latest_; }
   /// Subscription flags as one bit per lane (lane i -> bit i).
   std::uint32_t subscription_bits() const noexcept { return sub_bits_; }
+  void set_subscription_bits(std::uint32_t bits) noexcept {
+    assert((bits & ~lane_mask()) == 0);
+    sub_bits_ = bits;
+  }
   /// All-lanes-set mask for this BM's sub-stream count.
   std::uint32_t lane_mask() const noexcept {
     return k_ == 0 ? 0u : (~0u >> (32 - k_));

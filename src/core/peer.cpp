@@ -211,6 +211,18 @@ void Peer::on_partner_left(net::NodeId pid) {
   auto it = std::find_if(partners_.begin(), partners_.end(),
                          [pid](const PartnerState& ps) { return ps.id == pid; });
   if (it == partners_.end()) return;
+  // Inside the tick's effect flush this tick's periodic BM pushes are not
+  // delivered yet (System::tick delivers them after the flush).  Before a
+  // reselection reads partner maps, or before a joining node forgets a
+  // partner whose push may have set its first-BM stamp, apply the pushes
+  // the flush has already passed.
+  const bool reselects =
+      start_decided_ &&
+      std::find(parents_.begin(), parents_.end(), pid) != parents_.end();
+  if (reselects || (phase_ == PeerPhase::kJoining && !start_decided_ &&
+                    !first_bm_at_)) {
+    sys_.apply_passed_bms(*this);
+  }
   const bool was_incoming = it->incoming;
   partners_.erase(it);
   if (interval_changes_.size() < kMaxIntervalChanges) {
@@ -232,11 +244,13 @@ void Peer::on_partner_left(net::NodeId pid) {
   }
 }
 
-void Peer::on_bm_received(net::NodeId from, const BufferMap& bm) {
+void Peer::on_bm_received(net::NodeId from, const BufferMap& bm,
+                          std::uint32_t subscribed) {
   if (!alive()) return;
   PartnerState* ps = find_partner(from);
   if (ps == nullptr) return;  // stale sender
   ps->bm = bm;
+  ps->bm.set_subscription_bits(subscribed);
   ps->bm_time = sys_.now();
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
     first_bm_at_ = sys_.now();
@@ -523,10 +537,7 @@ void Peer::on_tick(Tick now) {
     server_feed(now);
     if (now >= next_bm_push_) {
       enforce_partner_silence(now);
-      // Hoisted: one cached map for the whole broadcast, not one rebuild
-      // per partner (push_bm is synchronous; receivers copy it).
-      const BufferMap& bm = refreshed_bm();
-      for (const auto& ps : partners_) sys_.push_bm(id_, ps.id, bm);
+      sys_.push_bm_round(id_, refreshed_bm(), partners_, parents_);
       next_bm_push_ = now + Duration(p.bm_exchange_period);
     }
     return;
@@ -534,14 +545,7 @@ void Peer::on_tick(Tick now) {
 
   if (now >= next_bm_push_) {
     enforce_partner_silence(now);
-    const BufferMap& base = refreshed_bm();
-    for (const auto& ps : partners_) {
-      BufferMap bm = base;
-      for (SubstreamId j : substreams(p.substream_count)) {
-        bm.set_subscribed(j, parents_[j.index()] == ps.id);
-      }
-      sys_.push_bm(id_, ps.id, bm);
-    }
+    sys_.push_bm_round(id_, refreshed_bm(), partners_, parents_);
     next_bm_push_ = now + Duration(p.bm_exchange_period);
   }
 

@@ -28,6 +28,9 @@ System::System(sim::Simulation& simulation, Params params,
       log_(log_server),
       latency_model_(simulation.rng().next_u64(), config.latency),
       transport_(simulation, latency_model_),
+      shard_count_(resolve_shard_count(config.shards)),
+      shard_scratch_(static_cast<std::size_t>(shard_count_)),
+      runner_(static_cast<std::size_t>(shard_count_)),
       // Largest control-plane batch: a boot-strap list response (gossip
       // pushes carry at most 3 sampled entries + self).
       mcache_arena_(std::max<std::size_t>(
@@ -35,8 +38,9 @@ System::System(sim::Simulation& simulation, Params params,
                  ? static_cast<std::size_t>(params.bootstrap_list_size)
                  : 0)) {
   params_.validate();
-  shard_count_ = resolve_shard_count(config_.shards);
-  shard_scratch_.resize(static_cast<std::size_t>(shard_count_));
+  for (ShardScratch& sc : shard_scratch_) {
+    sc.bm_out.resize(shard_scratch_.size());
+  }
 }
 
 System::~System() { tick_handle_.cancel(); }
@@ -59,10 +63,6 @@ void System::start() {
   // one random stream and sharding could perturb the workload.
   assert(sim::peer_stream_tag(net::kInvalidNode) >=
          sim::kMaxReservedStreamTag);
-  if (shard_count_ > 1 && pool_ == nullptr) {
-    pool_ = std::make_unique<sim::ThreadPool>(
-        static_cast<std::size_t>(shard_count_));
-  }
   for (int s = 0; s < config_.server_count; ++s) {
     PeerSpec spec;
     spec.user_id = 0;  // servers are infrastructure, not users
@@ -128,11 +128,7 @@ void System::leave(net::NodeId id, bool graceful) {
   partner_ids.reserve(p->partner_count());
   for (const auto& ps : p->partners()) partner_ids.push_back(ps.id);
   p->set_left();
-  for (net::NodeId q : partner_ids) {
-    if (Peer* qp = peer(q); qp != nullptr && qp->alive()) {
-      qp->on_partner_left(id);
-    }
-  }
+  for (net::NodeId q : partner_ids) drop_partner(q, id);
 
   bootstrap_.remove(id);
   auto it = std::find(live_.begin(), live_.end(), id);
@@ -150,7 +146,7 @@ bool System::is_live(net::NodeId id) const noexcept {
   // (join/buffer/play transitions); cross-shard liveness queries answer
   // from the tick-start snapshot instead — deterministic and race-free.
   if (in_protocol_phase_) {
-    return id < alive_snapshot_.size() && alive_snapshot_[id] != 0;
+    return id < tick_pos_.size() && tick_pos_[id] != kNotTicked;
   }
   const Peer* p = peer(id);
   return p != nullptr && p->alive();
@@ -278,22 +274,40 @@ void System::attempt_partnership(net::NodeId from, net::NodeId to) {
 }
 
 void System::push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm) {
-  if (TickEffectSink* s = tick_effect_sink()) {
-    s->emit(EffectBmPush{to, bm});
-    return;
-  }
-  // Periodic BM exchange is modelled with zero latency (the exchange
-  // period, 1 s, dominates the tens-of-ms delivery delay); messages are
-  // still counted for control-overhead reporting.
+  assert(tick_effect_sink() == nullptr);
+  // BM exchange is modelled with zero latency (the exchange period, 1 s,
+  // dominates the tens-of-ms delivery delay); messages are still counted
+  // for control-overhead reporting.
   transport_.count_only(net::MessageKind::kBufferMap);
   Peer* dest = peer(to);
   if (dest == nullptr || !dest->alive()) {
-    if (Peer* src = peer(from); src != nullptr && src->alive()) {
-      src->on_partner_left(to);  // lazily clean up half-open partnerships
-    }
+    drop_partner(from, to);  // lazily clean up half-open partnerships
     return;
   }
-  dest->on_bm_received(from, bm);
+  dest->on_bm_received(from, bm, bm.subscription_bits());
+}
+
+void System::push_bm_round(net::NodeId from, const BufferMap& base,
+                           std::span<const PartnerState> partners,
+                           std::span<const net::NodeId> parents) {
+  TickEffectSink* sink = tick_effect_sink();
+  assert(sink != nullptr && "periodic BM rounds run in phase P only");
+  ShardScratch& sc = shard_scratch_[sink->shard];
+  const auto round = static_cast<std::uint32_t>(sc.bm_rounds.size());
+  sc.bm_rounds.push_back(BmRound{base, place(sink->pos, sink->emitted)});
+  for (const PartnerState& ps : partners) {
+    if (!is_live(ps.id)) {
+      // Its lazy cleanup must run at our canonical flush position.
+      sink->emit(EffectBmToDeparted{ps.id});
+      continue;
+    }
+    std::uint32_t bits = 0;
+    for (std::size_t j = 0; j < parents.size(); ++j) {
+      if (parents[j] == ps.id) bits |= 1u << j;
+    }
+    sc.bm_out[shard_of(ps.id)].push_back(BmRecord{ps.id, from, round, bits});
+    ++sc.bm_pushes;
+  }
 }
 
 void System::subscribe(net::NodeId child, net::NodeId parent, SubstreamId j) {
@@ -353,8 +367,12 @@ void System::break_partnership(net::NodeId a, net::NodeId b) {
     return;
   }
   transport_.count_only(net::MessageKind::kPartnership);
-  if (Peer* pa = peer(a); pa != nullptr && pa->alive()) pa->on_partner_left(b);
-  if (Peer* pb = peer(b); pb != nullptr && pb->alive()) pb->on_partner_left(a);
+  drop_partner(a, b);
+  drop_partner(b, a);
+}
+
+void System::drop_partner(net::NodeId id, net::NodeId gone) {
+  if (Peer* p = peer(id); p != nullptr && p->alive()) p->on_partner_left(gone);
 }
 
 void System::report(const logging::Report& r) {
@@ -378,17 +396,37 @@ void System::notify(net::NodeId id, SessionEvent event) {
 // Data plane: the phased, shardable tick
 //
 // The serial tick interleaved flow transfer and protocol timers in live_
-// order; the sharded engine replays the same physics as three phases whose
+// order; the sharded engine replays the same physics as phases whose
 // outputs are pure functions of the frozen tick-start state:
 //
+//   freeze (serial) tick order, positions by id and by shard
 //   F1 (by parent)  rates from frozen heads -> InFlow slots   | barrier
 //   F2 (by child)   apply slots: credits, skips, inserts      | barrier
-//   P  (by peer)    bytes_up roll-up + on_tick, cross-peer    | barrier
-//                   calls deferred as effects                 |
+//   P  (by peer)    bytes_up roll-up + on_tick; cross-peer    | barrier
+//                   calls deferred as effects, periodic BM
+//                   pushes written as per-shard-pair records
 //   flush (serial)  effects applied in canonical sender order
+//   D  (by receiver) BM records delivered                     | barrier
 //
-// One shard runs the identical engine inline, so the 1-shard run IS the
-// serial baseline and every N produces bit-identical state.
+// Each barrier is the shard runner's (sim/shard_runner.h).  One shard runs
+// the identical engine inline, so the 1-shard run IS the serial baseline
+// and every N produces bit-identical state.
+//
+// Why D can follow the flush.  The result must equal applying each BM
+// push as an effect at its sender's place in the flush, like every other
+// effect.  It does, because during the flush partnerships are only
+// removed (Transport::send always schedules, so none is created),
+// liveness is frozen, and each edge carries at most one periodic push per
+// tick.  So a push reaches its receiver iff the receiver still lists the
+// sender when D runs — unless the partnership breaks mid-flush after the
+// push's place, and then the partner state the push wrote is erased with
+// it.  The push's only other traces are what flush-time code reads before
+// D: select_parent (via on_partner_left -> reselect) reads partner maps,
+// and on_bm_received stamps first_bm_at_.  Both are reached only through
+// Peer::on_partner_left, which first applies every push whose place the
+// flush cursor has passed (apply_passed_bms), so each reader sees exactly
+// the pushes an in-order flush would have applied by then.  DESIGN.md §15
+// has the full argument.
 // --------------------------------------------------------------------------
 
 void System::tick() {
@@ -397,35 +435,42 @@ void System::tick() {
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
   ++tick_stamp_;
 
-  // Freeze the tick-start view: peer order, liveness, and flow slots.
+  // Freeze the tick-start view: peer order, each live id's position (which
+  // doubles as the liveness snapshot), each shard's positions, flow slots.
   tick_order_.assign(live_.begin(), live_.end());
-  alive_snapshot_.assign(peers_.size(), 0);
-  for (const net::NodeId id : tick_order_) alive_snapshot_[id] = 1;
+  tick_pos_.assign(peers_.size(), kNotTicked);
+  for (ShardScratch& sc : shard_scratch_) {
+    sc.positions.clear();
+    sc.bm_rounds.clear();
+    for (std::vector<BmRecord>& lane : sc.bm_out) lane.clear();
+  }
+  for (std::uint32_t pos = 0;
+       pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
+    const net::NodeId id = tick_order_[pos];
+    tick_pos_[id] = pos;
+    shard_scratch_[shard_of(id)].positions.push_back(pos);
+  }
   if (inflow_.size() < peers_.size() * k_streams) {
     inflow_.resize(peers_.size() * k_streams);
   }
   effects_.reset(static_cast<std::size_t>(shard_count_));
 
-  run_sharded_phase([this, dt](std::size_t s) { flow_rates(s, dt); });
-  run_sharded_phase([this, dt](std::size_t s) { flow_apply(s, dt); });
+  runner_.run([this, dt](std::size_t s) { flow_rates(s, dt); });
+  runner_.run([this, dt](std::size_t s) { flow_apply(s, dt); });
   in_protocol_phase_ = true;
-  run_sharded_phase([this, t](std::size_t s) { protocol_phase(s, t); });
+  runner_.run([this, t](std::size_t s) { protocol_phase(s, t); });
   in_protocol_phase_ = false;
 
-  for (ShardScratch& s : shard_scratch_) {
-    stats_.blocks_transferred += s.blocks_transferred;
-    s.blocks_transferred = 0;
+  std::uint64_t bm_pushes = 0;
+  for (ShardScratch& sc : shard_scratch_) {
+    stats_.blocks_transferred += sc.blocks_transferred;
+    sc.blocks_transferred = 0;
+    bm_pushes += sc.bm_pushes;
+    sc.bm_pushes = 0;
   }
+  transport_.count_only(net::MessageKind::kBufferMap, bm_pushes);
   flush_effects();
-}
-
-void System::run_sharded_phase(
-    const std::function<void(std::size_t)>& phase) {
-  if (pool_ == nullptr) {
-    for (int s = 0; s < shard_count_; ++s) phase(static_cast<std::size_t>(s));
-    return;
-  }
-  sim::parallel_for(*pool_, static_cast<std::size_t>(shard_count_), phase);
+  runner_.run([this](std::size_t s) { deliver_bms(s); });
 }
 
 void System::flow_rates(std::size_t shard, Duration dt) {
@@ -434,8 +479,8 @@ void System::flow_rates(std::size_t shard, Duration dt) {
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
   std::vector<units::BlockRate>& demands = shard_scratch_[shard].demands;
 
-  for (const net::NodeId id : tick_order_) {
-    if (shard_of(id) != shard) continue;
+  for (const std::uint32_t pos : shard_scratch_[shard].positions) {
+    const net::NodeId id = tick_order_[pos];
     Peer* parent = peer(id);
     if (parent == nullptr || !parent->alive()) continue;
     auto& links = parent->out_links();
@@ -506,8 +551,8 @@ void System::flow_apply(std::size_t shard, Duration dt) {
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
   std::uint64_t& blocks = shard_scratch_[shard].blocks_transferred;
 
-  for (const net::NodeId id : tick_order_) {
-    if (shard_of(id) != shard) continue;
+  for (const std::uint32_t pos : shard_scratch_[shard].positions) {
+    const net::NodeId id = tick_order_[pos];
     Peer* child = peer(id);
     if (child == nullptr || !child->alive()) continue;
     for (SubstreamId j : substreams(params_.substream_count)) {
@@ -554,34 +599,79 @@ void System::protocol_phase(std::size_t shard, Tick t) {
   sink.mailbox = &effects_;
   sink.shard = shard;
   set_tick_effect_sink(&sink);
-  for (std::uint32_t pos = 0;
-       pos < static_cast<std::uint32_t>(tick_order_.size()); ++pos) {
-    const net::NodeId id = tick_order_[pos];
-    if (shard_of(id) != shard) continue;
-    Peer* p = peer(id);
+  for (const std::uint32_t pos : shard_scratch_[shard].positions) {
+    Peer* p = peer(tick_order_[pos]);
     if (p == nullptr || !p->alive()) continue;
     // Parent-side roll-up of what F2 moved on our out-links: children
     // recorded per-slot push counts; we own our bytes_up tally.
     for (const OutLink& l : p->out_links()) {
       const InFlow& slot = inflow_[l.child * k_streams + l.substream.index()];
-      if (slot.stamp != tick_stamp_ || slot.parent != id) continue;
-      for (std::uint32_t n = 0; n < slot.pushed; ++n) {
-        p->add_bytes_up(block_bytes);
-      }
+      if (slot.stamp != tick_stamp_ || slot.parent != p->id()) continue;
+      p->add_bytes_up(block_bytes * slot.pushed);
     }
     sink.pos = pos;
+    sink.emitted = 0;
     p->on_tick(t);
   }
   set_tick_effect_sink(nullptr);
 }
 
 void System::flush_effects() {
+  flushing_ = true;
+  std::uint32_t cur_pos = kNotTicked;
+  std::uint32_t k = 0;  // index of the effect among its sender's
   effects_.drain(
       tick_order_.size(),
       [this](std::uint32_t pos) { return shard_of(tick_order_[pos]); },
-      [this](std::uint32_t pos, TickEffect&& e) {
+      [this, &cur_pos, &k](std::uint32_t pos, TickEffect&& e) {
+        if (pos != cur_pos) {
+          cur_pos = pos;
+          k = 0;
+        }
+        flush_cursor_ = place(pos, k++);
         apply_effect(tick_order_[pos], std::move(e));
       });
+  flushing_ = false;
+}
+
+void System::apply_passed_bms(Peer& reader) {
+  if (!flushing_) return;
+  const std::size_t reader_shard = shard_of(reader.id());
+  for (const PartnerState& ps : reader.partners()) {
+    const std::uint32_t pos = tick_pos_[ps.id];
+    if (pos == kNotTicked || place(pos, 0) > flush_cursor_) continue;
+    const ShardScratch& sc = shard_scratch_[shard_of(ps.id)];
+    // Rounds are in position order; a sender has at most one per tick.
+    const auto round = std::lower_bound(
+        sc.bm_rounds.begin(), sc.bm_rounds.end(), place(pos, 0),
+        [](const BmRound& r, std::uint64_t p) { return r.place < p; });
+    if (round == sc.bm_rounds.end() || (round->place >> 32) != pos ||
+        round->place > flush_cursor_) {
+      continue;  // no round this tick, or not passed yet
+    }
+    // The round's records in our lane are contiguous; find the one to us.
+    const auto idx = static_cast<std::uint32_t>(round - sc.bm_rounds.begin());
+    const std::vector<BmRecord>& lane = sc.bm_out[reader_shard];
+    auto rec = std::lower_bound(
+        lane.begin(), lane.end(), idx,
+        [](const BmRecord& r, std::uint32_t i) { return r.round < i; });
+    for (; rec != lane.end() && rec->round == idx; ++rec) {
+      if (rec->to == reader.id()) {
+        reader.on_bm_received(ps.id, round->base, rec->sub_bits);
+        break;
+      }
+    }
+  }
+}
+
+void System::deliver_bms(std::size_t shard) {
+  // Per receiver, at most one record per sender: the order is immaterial.
+  for (const ShardScratch& sc : shard_scratch_) {
+    for (const BmRecord& rec : sc.bm_out[shard]) {
+      peer(rec.to)->on_bm_received(rec.from, sc.bm_rounds[rec.round].base,
+                                   rec.sub_bits);
+    }
+  }
 }
 
 void System::apply_effect(net::NodeId from, TickEffect&& effect) {
@@ -589,8 +679,9 @@ void System::apply_effect(net::NodeId from, TickEffect&& effect) {
   std::visit(
       [this, from](auto&& e) {
         using E = std::decay_t<decltype(e)>;
-        if constexpr (std::is_same_v<E, EffectBmPush>) {
-          push_bm(from, e.to, e.bm);
+        if constexpr (std::is_same_v<E, EffectBmToDeparted>) {
+          transport_.count_only(net::MessageKind::kBufferMap);
+          drop_partner(from, e.to);
         } else if constexpr (std::is_same_v<E, EffectSubscribe>) {
           // Stale intent: an earlier flush effect (say, a broken
           // partnership) made the sender reselect this sub-stream's parent

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "core/arena.h"
@@ -34,7 +35,7 @@
 #include "net/transport.h"
 #include "sim/shard_mailbox.h"
 #include "sim/simulation.h"
-#include "sim/thread_pool.h"
+#include "sim/shard_runner.h"
 #include "sim/time_series.h"
 
 namespace coolstream::core {
@@ -163,9 +164,16 @@ class System {
   void request_bootstrap_list(net::NodeId requester);
   /// Initiates a partnership attempt (latency-delayed; §III-B).
   void attempt_partnership(net::NodeId from, net::NodeId to);
-  /// Pushes `bm` (built by `from`) into `to`'s view of `from` (periodic BM
-  /// exchange; modelled with zero latency, counted for overhead).
+  /// Pushes `bm` (built by `from`) into `to`'s view of `from` (BM
+  /// exchange, modelled with zero latency, counted for overhead).  Serial
+  /// contexts only; phase P pushes through push_bm_round.
   void push_bm(net::NodeId from, net::NodeId to, const BufferMap& bm);
+  /// One periodic BM round of `from` (phase P only): `base` to every
+  /// partner, each with its subscription half (bit j set when
+  /// parents[j] is that partner).  Delivered after the flush; see tick().
+  void push_bm_round(net::NodeId from, const BufferMap& base,
+                     std::span<const PartnerState> partners,
+                     std::span<const net::NodeId> parents);
   /// Sub-stream subscription management (child -> parent).
   void subscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
   void unsubscribe(net::NodeId child, net::NodeId parent, SubstreamId j);
@@ -188,6 +196,11 @@ class System {
   std::vector<McacheEntry>& candidate_scratch() noexcept;
   /// Drops the partnership between two nodes (both sides notified).
   void break_partnership(net::NodeId a, net::NodeId b);
+  /// Inside the tick's effect flush: applies to `reader` every live
+  /// periodic BM push of this tick whose round the flush has already
+  /// passed — exactly the pushes an in-order flush would have delivered by
+  /// now.  No-op anywhere else.
+  void apply_passed_bms(Peer& reader);
   /// Files a report with the log server (no-op when none attached).
   void report(const logging::Report& r);
   /// Session milestones, called by Peer.
@@ -216,14 +229,35 @@ class System {
  private:
   friend struct InvariantTestAccess;  // seeded-corruption hooks (tests only)
 
-  /// One worker's private buffers, indexed by shard (serial contexts use
-  /// shard 0's).  Consumed within a phase; contents never carry results
-  /// across peers, so placement cannot influence behaviour.
-  struct ShardScratch {
+  /// A sender's periodic BM round, recorded in phase P.
+  struct BmRound {
+    BufferMap base;  ///< the sender's map, subscription half clear
+    /// Where the round sits in the flush's canonical order:
+    /// place(sender position, effects the sender emitted before it).
+    std::uint64_t place = 0;
+  };
+  /// One live push of a round; lives in the lane for (sender shard,
+  /// receiver shard).
+  struct BmRecord {
+    net::NodeId to = net::kInvalidNode;
+    net::NodeId from = net::kInvalidNode;
+    std::uint32_t round = 0;     ///< index into the sender shard's rounds
+    std::uint32_t sub_bits = 0;  ///< subscription half for `to`
+  };
+
+  /// One shard's private buffers (serial contexts use shard 0's).  Written
+  /// only by the shard's own thread within a phase; other shards read the
+  /// BM rounds and lanes only after the barrier.  Cache-line aligned so
+  /// neighbouring shards never share a line.
+  struct alignas(64) ShardScratch {
     Mcache::SampleScratch mcache;
     std::vector<McacheEntry> candidates;
     std::vector<units::BlockRate> demands;
+    std::vector<std::uint32_t> positions;  ///< own tick positions, ascending
+    std::vector<BmRound> bm_rounds;        ///< this tick, position order
+    std::vector<std::vector<BmRecord>> bm_out;  ///< by receiver shard
     std::uint64_t blocks_transferred = 0;
+    std::uint64_t bm_pushes = 0;
   };
 
   /// Per-(child, sub-stream) flow slot: written by the unique owning
@@ -238,9 +272,6 @@ class System {
   };
 
   void tick();
-  /// Runs `phase(shard)` for every shard — inline at 1 shard, on the
-  /// worker pool otherwise — and barriers before returning.
-  void run_sharded_phase(const std::function<void(std::size_t)>& phase);
   /// Phase F1 (sharded by parent): compute per-link rates from the frozen
   /// tick-start heads and publish them as InFlow slots.
   void flow_rates(std::size_t shard, Duration dt);
@@ -253,6 +284,14 @@ class System {
   /// Drains the effect mailbox in canonical sender order (serial).
   void flush_effects();
   void apply_effect(net::NodeId from, TickEffect&& effect);
+  /// Phase D (sharded by receiver): delivers this tick's BM records.
+  void deliver_bms(std::size_t shard);
+  /// Live node `id` loses partner `gone` (no-op when `id` is not live).
+  void drop_partner(net::NodeId id, net::NodeId gone);
+  static constexpr std::uint64_t place(std::uint32_t pos,
+                                       std::uint32_t k) noexcept {
+    return (std::uint64_t{pos} << 32) | k;
+  }
   std::size_t current_shard() const noexcept;
   static int resolve_shard_count(int configured);
 
@@ -276,17 +315,24 @@ class System {
   bool started_ = false;
 
   // --- sharded tick engine -------------------------------------------------
-  int shard_count_ = 1;
+  int shard_count_;
   std::uint32_t tick_stamp_ = 0;
   /// True only while phase P workers run: is_live() then answers from the
-  /// frozen alive snapshot (peers mutate their own phase bytes in P).
+  /// frozen tick positions (peers mutate their own phase bytes in P).
   bool in_protocol_phase_ = false;
-  std::unique_ptr<sim::ThreadPool> pool_;  ///< created by start() when N > 1
-  std::vector<net::NodeId> tick_order_;    ///< live_, frozen at tick start
-  std::vector<std::uint8_t> alive_snapshot_;  ///< by id, at tick start
+  /// True only during flush_effects(); flush_cursor_ is then the place of
+  /// the effect being applied.
+  bool flushing_ = false;
+  std::uint64_t flush_cursor_ = 0;
+  std::vector<net::NodeId> tick_order_;  ///< live_, frozen at tick start
+  /// By id: position in tick_order_, kNotTicked for nodes not live at tick
+  /// start.
+  std::vector<std::uint32_t> tick_pos_;
+  static constexpr std::uint32_t kNotTicked = ~std::uint32_t{0};
   std::vector<InFlow> inflow_;  ///< peers_.size() * K slots, stamp-guarded
   sim::ShardMailbox<TickEffect> effects_;
   std::vector<ShardScratch> shard_scratch_;  ///< one per shard
+  sim::ShardRunner runner_;  ///< after shard_scratch_: joined first
 
   // zero-alloc control plane: arena chunks and sampling scratch reused
   // across gossip sends, boot-strap responses and partner refills

@@ -2,25 +2,31 @@
 //
 // During the parallel protocol phase a peer may only mutate *its own*
 // state; everything it would have done to another peer through the System
-// plumbing (push a buffer map, subscribe, break a partnership, gossip,
-// file a report, ...) is captured as one of the typed effects below and
-// queued in the per-shard mailbox (sim/shard_mailbox.h).  After the
-// barrier the System drains the mailbox in canonical sender order and
-// applies each effect through the exact same plumbing code path — so a
-// 1-shard run and an N-shard run replay the identical effect sequence,
-// which is what makes their state hashes bit-identical.
+// plumbing (subscribe, break a partnership, gossip, file a report, ...) is
+// captured as one of the typed effects below and queued in the per-shard
+// mailbox (sim/shard_mailbox.h).  After the barrier the System drains the
+// mailbox in canonical sender order and applies each effect through the
+// exact same plumbing code path — so a 1-shard run and an N-shard run
+// replay the identical effect sequence, which is what makes their state
+// hashes bit-identical.
+//
+// Periodic buffer-map pushes are not effects: System::push_bm_round writes
+// them as compact per-(sender shard, receiver shard) records, delivered in
+// a parallel phase after the flush (System::tick, DESIGN.md §15).  Only a
+// push to a partner that had already left by tick start stays an effect
+// (EffectBmToDeparted), because its lazy partnership cleanup must happen
+// at the sender's canonical position.
 //
 // Routing is transparent to Peer code: System's plumbing methods check the
 // worker-local sink and either defer (parallel phase) or execute directly
 // (serial contexts: transport callbacks, workload events, the flush
-// itself).  Peer therefore calls sys_.push_bm(...) etc. unchanged.
+// itself).  Peer therefore calls sys_.subscribe(...) etc. unchanged.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <variant>
 
-#include "core/buffer_map.h"
 #include "core/mcache.h"
 #include "logging/reports.h"
 #include "net/types.h"
@@ -30,11 +36,11 @@ namespace coolstream::core {
 
 enum class SessionEvent : unsigned char;  // defined in core/system.h
 
-/// Periodic BM exchange: `bm` as built for partner `to` (subscription bits
-/// already set), delivered with zero latency at the flush.
-struct EffectBmPush {
+/// Periodic BM push to partner `to`, which had left by tick start: at the
+/// flush the sender drops the half-open partnership (and the push is
+/// counted).  Pushes to live partners never become effects.
+struct EffectBmToDeparted {
   net::NodeId to = net::kInvalidNode;
-  BufferMap bm;
 };
 
 /// Sub-stream subscription to `parent` (child = the emitting peer).
@@ -81,19 +87,24 @@ struct EffectNotify {
 };
 
 using TickEffect =
-    std::variant<EffectBmPush, EffectSubscribe, EffectUnsubscribe,
+    std::variant<EffectBmToDeparted, EffectSubscribe, EffectUnsubscribe,
                  EffectBreak, EffectGossip, EffectAttempt, EffectBootstrap,
                  EffectReport, EffectNotify>;
 
-/// One worker's handle on the mailbox: the lane it writes (its shard) and
-/// the tick position of the peer currently being ticked.  The System sets
-/// the position before each Peer::on_tick call.
+/// One worker's handle on the mailbox: the lane it writes (its shard), the
+/// tick position of the peer currently being ticked, and how many effects
+/// that peer has emitted so far.  The System sets the position (and zeroes
+/// the count) before each Peer::on_tick call.
 struct TickEffectSink {
   sim::ShardMailbox<TickEffect>* mailbox = nullptr;
   std::size_t shard = 0;
   std::uint32_t pos = 0;
+  std::uint32_t emitted = 0;
 
-  void emit(TickEffect effect) { mailbox->push(shard, pos, std::move(effect)); }
+  void emit(TickEffect effect) {
+    mailbox->push(shard, pos, std::move(effect));
+    ++emitted;
+  }
 };
 
 // census: worker-confined effect-capture pointer — thread_local, set only by the owning worker around the parallel phase, null in every serial context

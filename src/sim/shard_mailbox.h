@@ -15,10 +15,11 @@
 //
 // Concurrency contract (why there is no lock here): each shard writes only
 // its own lane, exactly one worker runs per shard, and drain() happens
-// strictly after the barrier that joins the workers — so no two threads
-// ever touch the same lane concurrently.  The barrier's mutex/cond-var pair
-// (sim::ThreadPool::wait) provides the happens-before edge that publishes
-// the lanes to the drainer.
+// strictly after the barrier that ends the phase — so no two threads ever
+// touch the same lane concurrently.  The barrier of sim::ShardRunner::run
+// (each worker's acq_rel decrement of its pending count, read with acquire
+// by the caller) provides the happens-before edge that publishes the lanes
+// to the drainer.
 //
 // Per-lane ordering contract: a worker visits its peers in ascending tick
 // position, so each lane is pushed in non-decreasing `pos` order.  drain()

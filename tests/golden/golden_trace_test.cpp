@@ -1,6 +1,6 @@
 // Golden-trace regression tier.
 //
-// Each pinned scenario (one clean, two fault-injected) is run at a fixed
+// Each pinned scenario (one clean, three fault-injected) is run at a fixed
 // seed while a compact state hash is sampled every 20 simulated seconds.
 // The resulting timeline is compared line-by-line against a checked-in
 // .golden file, so a behaviour change shows up as *when* the divergence
@@ -44,6 +44,10 @@ struct GoldenScenario {
   std::size_t viewers;
   double end_time;
   std::string schedule_text;  ///< workload::ChurnSchedule grammar
+  /// 0 keeps the default deployment (24 servers of 100 Mbps); otherwise
+  /// that many servers, each with as many stream rates of uplink and as
+  /// many partner slots, so peers must carry the crowd themselves.
+  int servers = 0;
 };
 
 std::vector<GoldenScenario> golden_scenarios() {
@@ -59,6 +63,16 @@ std::vector<GoldenScenario> golden_scenarios() {
        "burst 40 6 5\n"
        "mass 100 0.3 crash\n"
        "flap 70 90 3\n"},
+      // A crowd on three small servers: lagging peers rotate partners out
+      // (drop_worst_partner), so partnerships break mid-flush and children
+      // of the dropping parent reselect from the maps their partners have
+      // pushed so far this tick; lost confirms add phantom partnerships
+      // for the silence timeout and the lazy dead-partner cleanup.
+      {"contended", 12, 200.0,
+       "burst 10 60 20\n"
+       "msg 30 200 * 0.05 0 0 0\n"
+       "mass 150 0.2 crash\n",
+       3},
   };
 }
 
@@ -99,6 +113,12 @@ std::string run_timeline(const GoldenScenario& g) {
       workload::Scenario::steady(g.viewers, units::Duration(g.end_time));
   scenario.end_time = g.end_time;
   scenario.params.partner_silence_timeout = 6.0;
+  if (g.servers > 0) {
+    scenario.system.server_count = g.servers;
+    scenario.system.server_capacity_bps =
+        g.servers * scenario.params.stream_rate_bps;
+    scenario.system.server_max_partners = g.servers;
+  }
   workload::ScenarioRunner runner(simulation, std::move(scenario), nullptr);
   workload::ChurnDriver driver(runner, *schedule, kGoldenSeed);
   driver.arm();

@@ -1,11 +1,11 @@
 // Cross-thread determinism of full scenario runs.
 //
-// Simulations are single-threaded and share nothing; the ThreadPool only
-// distributes independent sweep points.  This test locks that contract in:
-// the same scenario seed must produce bit-identical log output and summary
-// statistics whether the sweep runs serially or on 4 threads — the property
-// every figure bench relies on when parallelizing, and the determinism
-// guarantee the event engine must preserve.
+// Simulations share nothing, so independent sweep points can run on
+// separate threads.  This test locks that contract in: the same scenario
+// seed must produce bit-identical log output and summary statistics
+// whether the sweep runs serially or on the 4 shards of a sim::ShardRunner
+// — the property every figure bench relies on when parallelizing, and the
+// determinism guarantee the event engine must preserve.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -15,7 +15,7 @@
 
 #include "logging/log_server.h"
 #include "sim/simulation.h"
-#include "sim/thread_pool.h"
+#include "sim/shard_runner.h"
 #include "workload/scenario.h"
 
 namespace coolstream {
@@ -60,9 +60,11 @@ TEST(DeterminismTest, SerialAndThreadedSweepsAreBitIdentical) {
   }
 
   std::vector<std::string> threaded(seeds.size());
-  sim::ThreadPool pool(4);
-  sim::parallel_for(pool, seeds.size(), [&](std::size_t i) {
-    threaded[i] = run_scenario_digest(seeds[i]);
+  sim::ShardRunner runner(4);
+  runner.run([&](std::size_t shard) {
+    for (std::size_t i = shard; i < seeds.size(); i += runner.shard_count()) {
+      threaded[i] = run_scenario_digest(seeds[i]);
+    }
   });
 
   for (std::size_t i = 0; i < seeds.size(); ++i) {
