@@ -59,18 +59,17 @@ KPoint run_k(int k, std::size_t users, std::uint64_t seed) {
   std::size_t viewers = 0;
   double viewer_minutes = 0.0;
   core::System& sys = runner.system();
-  for (net::NodeId id = 0;; ++id) {
-    const core::Peer* p2 = sys.peer(id);
-    if (p2 == nullptr) break;
-    if (p2->kind() != core::PeerKind::kViewer) continue;
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+    const core::NodeView p2 = sys.node(id);
+    if (p2.kind() != core::PeerKind::kViewer) continue;
     ++viewers;
     stall_seconds +=
-        p2->stats().stall_seconds.value();
-    play_seconds += static_cast<double>(p2->stats().blocks_due) /
+        p2.stats().stall_seconds.value();
+    play_seconds += static_cast<double>(p2.stats().blocks_due) /
                     s.params.block_rate;
-    switches += p2->stats().parent_switches;
-    resyncs += p2->stats().resyncs;
-    viewer_minutes += static_cast<double>(p2->stats().blocks_due) /
+    switches += p2.stats().parent_switches;
+    resyncs += p2.stats().resyncs;
+    viewer_minutes += static_cast<double>(p2.stats().blocks_due) /
                       s.params.block_rate / 60.0;
   }
   p.stall_share = play_seconds + stall_seconds > 0.0

@@ -49,16 +49,15 @@ Point run_point(double ts_seconds, double ta_seconds, std::size_t users,
   std::uint64_t switches = 0;
   std::uint64_t adaptations = 0;
   core::System& sys = runner.system();
-  for (net::NodeId id = 0;; ++id) {
-    const core::Peer* peer = sys.peer(id);
-    if (peer == nullptr) break;
-    if (peer->kind() != core::PeerKind::kViewer) continue;
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+    const core::NodeView peer = sys.node(id);
+    if (peer.kind() != core::PeerKind::kViewer) continue;
     stall_seconds +=
-        peer->stats().stall_seconds.value();
-    play_seconds += static_cast<double>(peer->stats().blocks_due) /
+        peer.stats().stall_seconds.value();
+    play_seconds += static_cast<double>(peer.stats().blocks_due) /
                     s.params.block_rate;
-    switches += peer->stats().parent_switches;
-    adaptations += peer->stats().adaptations;
+    switches += peer.stats().parent_switches;
+    adaptations += peer.stats().adaptations;
   }
   const double viewer_minutes = play_seconds / 60.0;
   p.stall_share = play_seconds + stall_seconds > 0.0

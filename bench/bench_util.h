@@ -99,10 +99,9 @@ inline LagStats measure_playback_lag(core::System& system) {
   const auto j0 = core::SubstreamId(0);
   const auto live = core::global_of(j0, system.source_head(j0, now),
                                     system.params().substream_count);
-  for (net::NodeId id = 0;; ++id) {
+  for (net::NodeId id = 0; id < system.node_count(); ++id) {
     const core::Peer* p = system.peer(id);
-    if (p == nullptr) break;
-    if (p->kind() != core::PeerKind::kViewer || !p->alive() ||
+    if (p == nullptr || p->kind() != core::PeerKind::kViewer ||
         p->phase() != core::PeerPhase::kPlaying) {
       continue;
     }

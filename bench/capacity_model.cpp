@@ -88,13 +88,12 @@ int main(int argc, char** argv) {
     double stall_seconds = 0.0;
     double play_seconds = 0.0;
     core::System& sys = runner.system();
-    for (net::NodeId id = 0;; ++id) {
-      const core::Peer* p = sys.peer(id);
-      if (p == nullptr) break;
-      if (p->kind() != core::PeerKind::kViewer) continue;
+    for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+      const core::NodeView p = sys.node(id);
+      if (p.kind() != core::PeerKind::kViewer) continue;
       stall_seconds +=
-        p->stats().stall_seconds.value();
-      play_seconds += static_cast<double>(p->stats().blocks_due) /
+        p.stats().stall_seconds.value();
+      play_seconds += static_cast<double>(p.stats().blocks_due) /
                       s.params.block_rate;
     }
     const double stall_share =

@@ -51,13 +51,9 @@ int main(int argc, char** argv) {
       if (bucket >= kBuckets) continue;
       for (net::NodeId parent_id : node.parents) {
         if (parent_id == net::kInvalidNode) continue;
-        const core::Peer* parent = sys.peer(parent_id);
-        if (parent == nullptr || !parent->alive()) continue;
+        if (!sys.is_live(parent_id)) continue;
         ++total_links[bucket];
-        const bool capable =
-            parent->kind() == core::PeerKind::kServer ||
-            net::accepts_inbound(parent->spec().type);
-        if (capable) ++capable_links[bucket];
+        if (sys.is_capable_parent(parent_id)) ++capable_links[bucket];
       }
     }
   }
@@ -97,16 +93,15 @@ int main(int argc, char** argv) {
     core::System& sys = runner.system();
     const auto snap = sys.snapshot();
     (void)snap;
-    for (net::NodeId id = 0;; ++id) {
-      const core::Peer* p = sys.peer(id);
-      if (p == nullptr) break;
-      if (p->kind() != core::PeerKind::kViewer) continue;
+    for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+      const core::NodeView p = sys.node(id);
+      if (p.kind() != core::PeerKind::kViewer) continue;
       capable_time +=
-          p->stats().capable_subscription_time.value();
-      capable_n += p->stats().capable_subscriptions_ended;
+          p.stats().capable_subscription_time.value();
+      capable_n += p.stats().capable_subscriptions_ended;
       weak_time +=
-          p->stats().weak_subscription_time.value();
-      weak_n += p->stats().weak_subscriptions_ended;
+          p.stats().weak_subscription_time.value();
+      weak_n += p.stats().weak_subscriptions_ended;
     }
   }
   analysis::banner(std::cout,

@@ -31,12 +31,11 @@ int main(int argc, char** argv) {
 
     core::System& sys = runner.system();
     double data_bytes = 0.0;
-    for (net::NodeId id = 0;; ++id) {
-      const core::Peer* p = sys.peer(id);
-      if (p == nullptr) break;
-      if (p->kind() != core::PeerKind::kViewer) continue;
+    for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+      const core::NodeView p = sys.node(id);
+      if (p.kind() != core::PeerKind::kViewer) continue;
       data_bytes += static_cast<double>(
-          p->stats().bytes_down.value());
+          p.stats().bytes_down.value());
     }
     const auto report =
         analysis::measure_overhead(sys.transport(), data_bytes);

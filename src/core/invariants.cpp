@@ -77,24 +77,6 @@ void InvariantAuditor::check_peer(const Peer& p,
     out->push_back({rule, id, other, std::move(detail)});
   };
 
-  if (!p.alive()) {
-    // A departed peer must be fully dismantled: no partner or serving state
-    // left behind, and no longer offered to joiners by the boot-strap node.
-    if (!p.partners().empty()) {
-      add(InvariantRule::kTeardown, net::kInvalidNode,
-          "departed peer still holds partner state");
-    }
-    if (!p.out_links().empty()) {
-      add(InvariantRule::kTeardown, net::kInvalidNode,
-          "departed peer still holds serving links");
-    }
-    if (sys_.bootstrap().contains(id)) {
-      add(InvariantRule::kTeardown, net::kInvalidNode,
-          "departed peer still listed by the boot-strap node");
-    }
-    return;
-  }
-
   if (!sys_.bootstrap().contains(id)) {
     add(InvariantRule::kCensus, net::kInvalidNode,
         "live peer missing from the boot-strap registry");
@@ -257,11 +239,10 @@ void InvariantAuditor::check_global(std::vector<InvariantViolation>* out,
   // --- block conservation (lifetime, dead peers included) ------------------
   units::Bytes up{};
   units::Bytes down{};
-  for (net::NodeId id = 0;; ++id) {
-    const Peer* p = sys_.peer(id);
-    if (p == nullptr) break;
-    up += p->stats().bytes_up;
-    down += p->stats().bytes_down;
+  for (net::NodeId id = 0; id < sys_.node_count(); ++id) {
+    const PeerStats& st = sys_.node(id).stats();
+    up += st.bytes_up;
+    down += st.bytes_down;
   }
   const units::Bytes expect =
       sys_.params().block_bytes() * sys_.stats().blocks_transferred;
@@ -306,24 +287,31 @@ void InvariantAuditor::check_global(std::vector<InvariantViolation>* out,
 std::vector<InvariantViolation> InvariantAuditor::audit() {
   std::vector<InvariantViolation> out;
   std::size_t live_seen = 0;
-  net::NodeId end = 0;
-  for (net::NodeId id = 0;; ++id) {
-    const Peer* p = sys_.peer(id);
-    if (p == nullptr) {
-      end = id;
-      break;
+  const auto end = static_cast<net::NodeId>(sys_.node_count());
+  for (net::NodeId id = 0; id < end; ++id) {
+    if (const Peer* p = sys_.peer(id)) {
+      ++live_seen;
+      check_peer(*p, &out);
+    } else if (sys_.bootstrap().contains(id)) {
+      // A departed node's partner and serving state went with its Peer;
+      // the boot-strap node must no longer offer it to joiners either.
+      out.push_back({InvariantRule::kTeardown, id, net::kInvalidNode,
+                     "departed peer still listed by the boot-strap node"});
     }
-    if (p->alive()) ++live_seen;
-    check_peer(*p, &out);
   }
   check_global(&out, live_seen);
 
-  // Refresh the monotonicity snapshot only after all checks ran.
+  // Refresh the monotonicity snapshot only after all checks ran.  A
+  // departed node's state is frozen in its record; its snapshot is dropped.
   const int k = sys_.params().substream_count;
   snap_.resize(end);
   for (net::NodeId id = 0; id < end; ++id) {
     const Peer* p = sys_.peer(id);
     NodeSnapshot& s = snap_[id];
+    if (p == nullptr) {
+      s = NodeSnapshot{};
+      continue;
+    }
     s.heads.assign(static_cast<std::size_t>(k), kNoSeq);
     for (SubstreamId j : substreams(k)) {
       s.heads[j.index()] = p->head(j);

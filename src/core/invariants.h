@@ -107,6 +107,7 @@ class InvariantAuditor {
     units::Bytes bytes_down{};
   };
 
+  /// Checks one live peer (a departed node's checks are in audit()).
   void check_peer(const Peer& p, std::vector<InvariantViolation>* out);
   void check_global(std::vector<InvariantViolation>* out,
                     std::size_t live_seen);

@@ -138,6 +138,11 @@ COOLSTREAM_LAYOUT_PIN(core::PeerStats, 96);  // hole-free: 7*8 + 10*4
 COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 448);
 COOLSTREAM_LAYOUT_PIN(core::PeerProtocolState, 424);
 
+// What a departed session keeps (System::leave): spec + stats + 3*8 +
+// 16 lanes * 8.
+COOLSTREAM_LAYOUT_AUDIT(core::DepartedPeer, 320);
+COOLSTREAM_LAYOUT_PIN(core::DepartedPeer, 272);
+
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 COOLSTREAM_LAYOUT_PIN(net::Ipv4Address, 4);
 
@@ -312,6 +317,18 @@ struct Introspect {
        sizeof(PeerProtocolState::had_outgoing_)},
   };
 
+  static constexpr MemberInfo kDepartedPeer[] = {
+      {"spec", offsetof(DepartedPeer, spec), sizeof(DepartedPeer::spec)},
+      {"stats", offsetof(DepartedPeer, stats), sizeof(DepartedPeer::stats)},
+      {"play_start_seq", offsetof(DepartedPeer, play_start_seq),
+       sizeof(DepartedPeer::play_start_seq)},
+      {"playhead", offsetof(DepartedPeer, playhead),
+       sizeof(DepartedPeer::playhead)},
+      {"blocks_received", offsetof(DepartedPeer, blocks_received),
+       sizeof(DepartedPeer::blocks_received)},
+      {"heads", offsetof(DepartedPeer, heads), sizeof(DepartedPeer::heads)},
+  };
+
   static constexpr MemberInfo kReportHeader[] = {
       {"user_id", offsetof(logging::ReportHeader, user_id),
        sizeof(logging::ReportHeader::user_id)},
@@ -391,6 +408,9 @@ inline constexpr TypeLayout kRegistry[] = {
     detail::entry<BufferMap>(0, Introspect::kBufferMap),
     detail::entry<PeerSpec>(0, Introspect::kPeerSpec),
     detail::entry<PeerStats>(0, Introspect::kPeerStats),
+    // core: what a departed session keeps (not charged per live peer; the
+    // census reports it as bytes per departed session)
+    detail::entry<DepartedPeer>(0, Introspect::kDepartedPeer),
     // net: leaf value type (private rep; audited as opaque)
     detail::leaf_entry<net::Ipv4Address>(0),
     // logging: transient §V-A report messages (not resident per peer)

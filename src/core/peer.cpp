@@ -312,13 +312,9 @@ void Peer::end_subscription(SubstreamId j) {
   const net::NodeId parent = parents_[j.index()];
   if (parent == net::kInvalidNode) return;
   const Duration lifetime = sys_.now() - sub_since_[j.index()];
-  // Reads only kind() and spec().type, both immutable after construction —
-  // safe to resolve from any shard's worker.
-  const Peer* p = sys_.peer(parent);  // lint:allow(cross-shard-call)
-  const bool capable =
-      p != nullptr && (p->kind() == PeerKind::kServer ||
-                       net::accepts_inbound(p->spec().type));
-  if (capable) {
+  // Reads only the parent's spec, immutable after construction and kept
+  // when it departs — safe to resolve from any shard's worker.
+  if (sys_.is_capable_parent(parent)) {
     ++stats_.capable_subscriptions_ended;
     stats_.capable_subscription_time += lifetime;
   } else {
@@ -883,10 +879,6 @@ void Peer::set_left() {
     end_subscription(j);
   }
   phase_ = PeerPhase::kLeft;
-  partners_.clear();
-  out_links_.clear();
-  std::fill(parents_.begin(), parents_.end(), net::kInvalidNode);
-  skips_.clear();
 }
 
 }  // namespace coolstream::core

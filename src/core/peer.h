@@ -7,7 +7,8 @@
 //               for the media-ready buffer to fill
 //   kPlaying    media player running; playout deadlines drive the
 //               continuity index
-//   kLeft       departed (gracefully or crashed)
+//   kLeft       departed (gracefully or crashed); System::leave then
+//               frees the Peer and keeps a DepartedPeer record
 //
 // Dedicated servers (PeerKind::kServer) share the partnership/serving code
 // but are fed directly from the encoder clock and never adapt or play.
@@ -94,6 +95,23 @@ struct PeerStats {
   std::uint32_t resyncs = 0;           ///< playout timeline re-anchors
   std::uint32_t capable_subscriptions_ended = 0;
   std::uint32_t weak_subscriptions_ended = 0;
+};
+
+/// What a node leaves behind when it departs: System::leave moves the
+/// final observable state here and destroys the `Peer`.  It holds only
+/// what outlives a departure — the immutable spec (read by reachability
+/// and capable-parent checks) and the end-of-run state digests, audits and
+/// figures read — so a departed session costs a few hundred bytes instead
+/// of a whole peer.  A departed node's phase is kLeft and it has no
+/// partners, so neither is stored.  Members are 8-byte fields only, so the
+/// struct packs hole-free (layout_audit.h pins the size).
+struct DepartedPeer {
+  PeerSpec spec;
+  PeerStats stats;
+  GlobalSeq play_start_seq = kNoSeq;
+  GlobalSeq playhead = kNoSeq;
+  std::uint64_t blocks_received = 0;
+  SeqNum heads[BufferMap::kMaxSubstreams]{};  ///< first K lanes used
 };
 
 /// The hot, trivially-copyable slice of a peer: every scalar the protocol
@@ -198,8 +216,9 @@ class Peer : private PeerProtocolState {
   /// phase logic (media-ready check, playout accounting, server feed).
   void on_tick(Tick now);
 
-  /// Tears the node down: unsubscribes children bookkeeping is handled by
-  /// System; this finalizes local state and freezes stats.
+  /// Closes the books on the node's subscriptions and marks it departed,
+  /// so every handler ignores it while System::leave notifies its
+  /// partners; leave then keeps a DepartedPeer record and destroys it.
   void set_left();
 
   // --- data plane (FlowModel access) ---------------------------------------

@@ -73,6 +73,7 @@ void System::start() {
     const net::NodeId id = static_cast<net::NodeId>(peers_.size());
     peers_.push_back(std::make_unique<Peer>(
         *this, id, spec, units::SessionId(next_session_id_++), now()));
+    index_of_.push_back(static_cast<std::uint32_t>(live_.size()));
     live_.push_back(id);
     bootstrap_.add(id, now());
     peers_.back()->start_join();
@@ -95,6 +96,7 @@ net::NodeId System::join(const PeerSpec& spec) {
   const net::NodeId id = static_cast<net::NodeId>(peers_.size());
   peers_.push_back(std::make_unique<Peer>(
       *this, id, s, units::SessionId(next_session_id_++), now()));
+  index_of_.push_back(static_cast<std::uint32_t>(live_.size()));
   live_.push_back(id);
   bootstrap_.add(id, now());
   ++live_viewers_;
@@ -107,8 +109,11 @@ net::NodeId System::join(const PeerSpec& spec) {
 
 void System::leave(net::NodeId id, bool graceful) {
   Peer* p = peer(id);
-  if (p == nullptr || !p->alive()) return;
-  assert(p->kind() == PeerKind::kViewer && "servers never leave");
+  if (p == nullptr) return;  // already departed
+  assert(p->alive() && p->kind() == PeerKind::kViewer && "servers never leave");
+  // The tick holds peers by id across its phases and the flush; a leave
+  // from inside it (a synchronous observer) would free one mid-use.
+  assert(!flushing_ && !in_protocol_phase_);
 
   if (graceful) {
     logging::ActivityReport r;
@@ -131,13 +136,30 @@ void System::leave(net::NodeId id, bool graceful) {
   for (net::NodeId q : partner_ids) drop_partner(q, id);
 
   bootstrap_.remove(id);
-  auto it = std::find(live_.begin(), live_.end(), id);
-  assert(it != live_.end());
-  *it = live_.back();
+  const std::uint32_t pos = index_of_[id];
+  assert(live_[pos] == id);
+  live_[pos] = live_.back();
+  index_of_[live_[pos]] = pos;
   live_.pop_back();
   --live_viewers_;
   viewers_over_time_.add(now(), -1);
   ++stats_.leaves;
+
+  // Keep what outlives the session and free the rest.  Stale ids held
+  // elsewhere (mCaches, pending dials, in-flight messages, deferred
+  // effects) now resolve to no live peer and are dropped where they land.
+  DepartedPeer rec;
+  rec.spec = p->spec();
+  rec.stats = p->stats();
+  rec.play_start_seq = p->play_start_seq();
+  rec.playhead = p->playhead();
+  rec.blocks_received = p->sync().blocks_received();
+  for (SubstreamId j : substreams(params_.substream_count)) {
+    rec.heads[j.index()] = p->head(j);
+  }
+  index_of_[id] = static_cast<std::uint32_t>(departed_.size());
+  departed_.push_back(rec);
+  peers_[id].reset();
   notify(id, SessionEvent::kLeft);
 }
 
@@ -173,6 +195,12 @@ const Peer* System::peer(net::NodeId id) const noexcept {
   return id < peers_.size() ? peers_[id].get() : nullptr;
 }
 
+NodeView System::node(net::NodeId id) const noexcept {
+  assert(id < peers_.size());
+  const Peer* p = peers_[id].get();
+  return p != nullptr ? NodeView(*p) : NodeView(departed_[index_of_[id]]);
+}
+
 int System::max_partners_of(const Peer& p) const noexcept {
   if (p.kind() == PeerKind::kServer) return config_.server_max_partners;
   // A viewer's partner budget scales with its uplink: beyond its own
@@ -192,11 +220,19 @@ int System::max_partners_of(const Peer& p) const noexcept {
 }
 
 bool System::is_reachable(net::NodeId id) const noexcept {
-  const Peer* p = peer(id);
-  if (p == nullptr || !net::accepts_inbound(p->spec().type)) return false;
+  // Answered from the spec, which outlives a departure: a partnership
+  // reply from a callee that has since left still classifies it.
+  if (id >= node_count() || !net::accepts_inbound(node(id).spec().type)) {
+    return false;
+  }
   // A connectivity flap looks exactly like a NAT whose mapping was lost:
   // new inbound connections fail while established ones keep flowing.
   return faults_ == nullptr || !faults_->inbound_blocked(now(), id);
+}
+
+bool System::is_capable_parent(net::NodeId id) const noexcept {
+  const PeerSpec& spec = node(id).spec();
+  return spec.kind == PeerKind::kServer || net::accepts_inbound(spec.type);
 }
 
 SeqNum System::source_head(SubstreamId j, Tick t) const noexcept {
@@ -217,13 +253,11 @@ void System::request_bootstrap_list(net::NodeId requester) {
     s->emit(EffectBootstrap{});
     return;
   }
-  // Round trip to the boot-strap node; the list is sampled when the
-  // response is generated (server-side state at that instant).
-  const Duration rtt =
-      latency_model_.delay(requester, kBootstrapNodeId) * 2.0;
+  // The list arrives one request delay after the ask: it is sampled from
+  // the boot-strap node's state at that instant and handed to the
+  // requester at once, with no modelled return leg (DESIGN.md §5).
   transport_.send(requester, kBootstrapNodeId, net::MessageKind::kGossip,
-                  [this, requester, rtt] {
-                    (void)rtt;
+                  [this, requester] {
                     Peer* p = peer(requester);
                     if (p == nullptr || !p->alive()) return;
                     bootstrap_.random_list_into(
@@ -437,8 +471,11 @@ void System::tick() {
 
   // Freeze the tick-start view: peer order, each live id's position (which
   // doubles as the liveness snapshot), each shard's positions, flow slots.
+  // Only the previous tick's positions are reset and only new ids are
+  // appended, so the freeze costs O(live), not O(ids ever minted).
+  for (const net::NodeId id : tick_order_) tick_pos_[id] = kNotTicked;
+  tick_pos_.resize(peers_.size(), kNotTicked);
   tick_order_.assign(live_.begin(), live_.end());
-  tick_pos_.assign(peers_.size(), kNotTicked);
   for (ShardScratch& sc : shard_scratch_) {
     sc.positions.clear();
     sc.bm_rounds.clear();
@@ -478,6 +515,7 @@ void System::flow_rates(std::size_t shard, Duration dt) {
   const units::BlockRate catchup_cap = sub_rate * params_.max_catchup_factor;
   const auto k_streams = static_cast<std::size_t>(params_.substream_count);
   std::vector<units::BlockRate>& demands = shard_scratch_[shard].demands;
+  std::vector<units::BlockRate>& rates = shard_scratch_[shard].rates;
 
   for (const std::uint32_t pos : shard_scratch_[shard].positions) {
     const net::NodeId id = tick_order_[pos];
@@ -512,10 +550,12 @@ void System::flow_rates(std::size_t shard, Duration dt) {
     if (faults_ != nullptr) {
       capacity = capacity * faults_->capacity_factor(now(), id);
     }
-    const auto rates =
-        config_.allocation == AllocationPolicy::kMaxMinFair
-            ? net::max_min_fair(capacity, demands)
-            : net::equal_share(capacity, demands);
+    rates.resize(links.size());
+    if (config_.allocation == AllocationPolicy::kMaxMinFair) {
+      net::max_min_fair(capacity, demands, rates);
+    } else {
+      net::equal_share(capacity, demands, rates);
+    }
 
     // Publish one InFlow slot per granted link.  Exactly one parent can
     // pass the parent_of() check for a given (child, sub-stream), so each

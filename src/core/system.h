@@ -2,9 +2,10 @@
 // protocol peers, the data-plane fluid model, and the measurement pipeline.
 //
 // One System instance is one broadcast channel: it owns the dedicated
-// servers, the boot-strap node, every peer that ever joined, and the global
-// tick that drives block transfer and protocol timers.  Workload drivers
-// call join()/leave(); everything else is protocol behaviour.
+// servers, the boot-strap node, every live peer, a compact record of every
+// departed one, and the global tick that drives block transfer and
+// protocol timers.  Workload drivers call join()/leave(); everything else
+// is protocol behaviour.
 //
 // Data plane.  Block transfer uses a discrete-time fluid model (period
 // Params::flow_tick): each parent divides its upload capacity max-min
@@ -95,6 +96,47 @@ struct SystemStats {
   std::uint64_t blocks_transferred = 0;
 };
 
+/// One node's observable state, live or departed: the live `Peer`, or the
+/// DepartedPeer record its departure left behind (System::node).  A view
+/// is two pointers; it stays valid until the next join() or leave().
+class NodeView {
+ public:
+  explicit NodeView(const Peer& live) noexcept : live_(&live) {}
+  explicit NodeView(const DepartedPeer& gone) noexcept : gone_(&gone) {}
+
+  bool alive() const noexcept { return live_ != nullptr && live_->alive(); }
+  const PeerSpec& spec() const noexcept {
+    return live_ != nullptr ? live_->spec() : gone_->spec;
+  }
+  PeerKind kind() const noexcept { return spec().kind; }
+  PeerPhase phase() const noexcept {
+    return live_ != nullptr ? live_->phase() : PeerPhase::kLeft;
+  }
+  const PeerStats& stats() const noexcept {
+    return live_ != nullptr ? live_->stats() : gone_->stats;
+  }
+  GlobalSeq play_start_seq() const noexcept {
+    return live_ != nullptr ? live_->play_start_seq() : gone_->play_start_seq;
+  }
+  GlobalSeq playhead() const noexcept {
+    return live_ != nullptr ? live_->playhead() : gone_->playhead;
+  }
+  SeqNum head(SubstreamId j) const {
+    return live_ != nullptr ? live_->head(j) : gone_->heads[j.index()];
+  }
+  std::uint64_t blocks_received() const noexcept {
+    return live_ != nullptr ? live_->sync().blocks_received()
+                            : gone_->blocks_received;
+  }
+  std::size_t partner_count() const noexcept {
+    return live_ != nullptr ? live_->partner_count() : 0;
+  }
+
+ private:
+  const Peer* live_ = nullptr;
+  const DepartedPeer* gone_ = nullptr;
+};
+
 /// One broadcast channel.
 class System {
  public:
@@ -116,11 +158,20 @@ class System {
   /// Removes a node.  `graceful` leaves emit a leave activity report and
   /// notify partners; crashes notify partners (TCP reset) but report
   /// nothing — their sessions stay open in the log, as in the real trace.
+  /// The node's final state moves into a DepartedPeer record and the
+  /// `Peer` is destroyed; its id is never reused.  O(1) apart from the
+  /// partner notifications.  Not callable from inside the tick.
   void leave(net::NodeId id, bool graceful = true);
 
   bool is_live(net::NodeId id) const noexcept;
+  /// The live peer `id`, or nullptr (departed, or never minted).
   Peer* peer(net::NodeId id) noexcept;
   const Peer* peer(net::NodeId id) const noexcept;
+  /// Node ids minted so far: ids are [0, node_count()), in join order.
+  std::size_t node_count() const noexcept { return peers_.size(); }
+  /// Observable state of node `id` < node_count(), live or departed — the
+  /// one accessor for reads that outlive a departure.
+  NodeView node(net::NodeId id) const noexcept;
   /// Live viewers right now (excludes servers).
   std::size_t live_viewer_count() const noexcept { return live_viewers_; }
 
@@ -154,13 +205,17 @@ class System {
     return viewers_over_time_;
   }
 
-  /// Observer for session milestones (set by workload drivers).
+  /// Observer for session milestones (set by workload drivers).  It must
+  /// not call leave() synchronously — drivers schedule departures as
+  /// events — because leave() destroys the Peer, and the observer may run
+  /// inside one of that peer's own methods.
   std::function<void(net::NodeId, SessionEvent)> observer;
 
   // --- services used by Peer (protocol plumbing) ---------------------------
   Tick now() const noexcept { return sim_.now(); }
   sim::Rng& rng() noexcept { return sim_.rng(); }
-  /// Sends the boot-strap list request/response round trip.
+  /// Asks the boot-strap node for a list; it arrives one request delay
+  /// later (DESIGN.md §5).
   void request_bootstrap_list(net::NodeId requester);
   /// Initiates a partnership attempt (latency-delayed; §III-B).
   void attempt_partnership(net::NodeId from, net::NodeId to);
@@ -210,6 +265,10 @@ class System {
   /// Whether `id` accepts inbound connections — what a peer infers from
   /// the advertised address class (public / UPnP-mapped vs plain NAT).
   bool is_reachable(net::NodeId id) const noexcept;
+  /// Whether `id` is a capable parent (server, direct or UPnP) in the §V-B
+  /// subscription-lifetime split.  Like is_reachable it reads only the
+  /// spec, so a node is classified the same before and after it departs.
+  bool is_capable_parent(net::NodeId id) const noexcept;
   /// Encoder position: contiguous head of sub-stream `j` at time `t`
   /// (servers lag this by config().server_lag).
   SeqNum source_head(SubstreamId j, Tick t) const noexcept;
@@ -253,6 +312,7 @@ class System {
     Mcache::SampleScratch mcache;
     std::vector<McacheEntry> candidates;
     std::vector<units::BlockRate> demands;
+    std::vector<units::BlockRate> rates;  ///< F1 allocation output
     std::vector<std::uint32_t> positions;  ///< own tick positions, ascending
     std::vector<BmRound> bm_rounds;        ///< this tick, position order
     std::vector<std::vector<BmRecord>> bm_out;  ///< by receiver shard
@@ -302,8 +362,14 @@ class System {
   net::LatencyModel latency_model_;
   net::Transport transport_;
   BootstrapServer bootstrap_;
+  /// By id: the live peer, null once departed.  Ids are never reused:
+  /// per-peer RNG substreams, latency pairs and shard_of derive from them.
   std::vector<std::unique_ptr<Peer>> peers_;
   std::vector<net::NodeId> live_;  ///< ids of live nodes, join order
+  /// By id: a live node's position in live_; a departed node's index in
+  /// departed_ (peers_[id] tells which).
+  std::vector<std::uint32_t> index_of_;
+  std::vector<DepartedPeer> departed_;  ///< departure order
   std::size_t live_viewers_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_user_auto_ = 1'000'000'000ULL;

@@ -73,7 +73,7 @@ struct EffectAttempt {
   net::NodeId to = net::kInvalidNode;
 };
 
-/// Boot-strap list request round trip for the emitter.
+/// Boot-strap list request for the emitter.
 struct EffectBootstrap {};
 
 /// Status/activity report for the log server.

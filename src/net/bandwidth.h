@@ -9,7 +9,9 @@
 // rate R/K while the child is caught up, and more (catch-up) when behind.
 //
 // Capacity and demands are block rates (blocks/s) — the fluid data plane's
-// currency — so a bits-vs-blocks mix-up cannot typecheck.
+// currency — so a bits-vs-blocks mix-up cannot typecheck.  Both policies
+// write into a caller-owned `rates` span (one entry per demand), so the
+// per-parent, per-tick call in the data plane never touches the heap.
 //
 // With equal demands this degenerates to the paper's Eq. (5):
 // r = D/(D+1) * R/K after a (D+1)-th child subscribes to a parent whose
@@ -17,7 +19,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "core/units.h"
 
@@ -25,18 +26,20 @@ namespace coolstream::net {
 
 using units::BlockRate;
 
-/// Max-min fair allocation of `capacity` across positive `demands`.
-/// Returns one rate per demand; rates sum to min(capacity, sum(demands)).
-/// Zero-demand entries receive zero.  All inputs must be non-negative.
-std::vector<BlockRate> max_min_fair(BlockRate capacity,
-                                    std::span<const BlockRate> demands);
+/// Max-min fair allocation of `capacity` across positive `demands`, one
+/// rate per demand written to `rates` (same size as `demands`); rates sum
+/// to min(capacity, sum(demands)).  Zero-demand entries receive zero.  All
+/// inputs must be non-negative.
+void max_min_fair(BlockRate capacity, std::span<const BlockRate> demands,
+                  std::span<BlockRate> rates);
 
 /// Equal-share allocation with per-connection caps: every connection gets
 /// capacity/n, except connections whose demand is lower keep only their
 /// demand, with the surplus left unused.  This models a simple TCP-like
 /// split without the iterative redistribution of max-min fairness; the
-/// difference between the two policies is an ablation bench.
-std::vector<BlockRate> equal_share(BlockRate capacity,
-                                   std::span<const BlockRate> demands);
+/// difference between the two policies is an ablation bench.  Writes one
+/// rate per demand to `rates` (same size as `demands`).
+void equal_share(BlockRate capacity, std::span<const BlockRate> demands,
+                 std::span<BlockRate> rates);
 
 }  // namespace coolstream::net

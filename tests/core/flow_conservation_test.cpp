@@ -26,13 +26,12 @@ TEST_P(FlowConservationTest, BytesBalance) {
   std::uint64_t up = 0;
   std::uint64_t down = 0;
   std::uint64_t viewer_blocks_received = 0;
-  for (net::NodeId id = 0;; ++id) {
-    const Peer* p = sys.peer(id);
-    if (p == nullptr) break;
-    up += p->stats().bytes_up.value();
-    down += p->stats().bytes_down.value();
-    if (p->kind() == PeerKind::kViewer) {
-      viewer_blocks_received += p->sync().blocks_received();
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+    const NodeView p = sys.node(id);
+    up += p.stats().bytes_up.value();
+    down += p.stats().bytes_down.value();
+    if (p.kind() == PeerKind::kViewer) {
+      viewer_blocks_received += p.blocks_received();
     }
   }
   // Every byte uploaded was downloaded by exactly one peer.

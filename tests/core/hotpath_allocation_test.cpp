@@ -9,13 +9,15 @@
 //   * buffer-map exchange (build + copy + deliver, both directions),
 //   * gossip sends (arena batch + mCache sampling + transport enqueue),
 //   * gossip receives (mCache refresh of known entries),
-//   * MessageArena batch recycling, including leases outliving the arena.
+//   * MessageArena batch recycling, including leases outliving the arena,
+//   * the data plane's per-parent rate allocation (both policies).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
 #include "core/arena.h"
 #include "core/invariants.h"
@@ -23,6 +25,7 @@
 #include "core/params.h"
 #include "core/system.h"
 #include "net/address.h"
+#include "net/bandwidth.h"
 #include "sim/simulation.h"
 
 namespace {
@@ -223,6 +226,29 @@ TEST(HotpathAllocationTest, BatchLeaseOutlivesArenaWithoutAllocating) {
   EXPECT_EQ(batch.items()[1].id, net::NodeId(4));
   batch.reset();  // last lease frees the pool — release, not allocation
   EXPECT_EQ(g_allocations - allocs_before, 0u);
+}
+
+TEST(HotpathAllocationTest, RateAllocationIsAllocationFree) {
+  // Phase F1 calls the allocator once per parent per tick, writing into
+  // per-shard scratch; neither policy may allocate on its own.
+  std::vector<units::BlockRate> demands;
+  for (int i = 0; i < 24; ++i) {
+    demands.emplace_back(i % 5 == 0 ? 0.0 : 0.5 + 0.25 * (i % 7));
+  }
+  std::vector<units::BlockRate> rates(demands.size());
+  double sink = 0.0;
+
+  const std::uint64_t allocs_before = g_allocations;
+  for (int round = 0; round < 1000; ++round) {
+    const units::BlockRate capacity(0.5 + 0.01 * round);
+    net::max_min_fair(capacity, demands, rates);
+    sink += rates.back().value();
+    net::equal_share(capacity, demands, rates);
+    sink += rates.back().value();
+  }
+  EXPECT_EQ(g_allocations - allocs_before, 0u)
+      << "rate allocation touched the heap";
+  EXPECT_GT(sink, 0.0);
 }
 
 TEST(HotpathAllocationTest, McacheSamplingIsAllocationFree) {

@@ -282,13 +282,12 @@ TEST(InvariantAuditorTest, AuditingDoesNotPerturbTheRun) {
     System& sys = runner.system();
     fp.stats = sys.stats();
     fp.live = sys.live_viewer_count();
-    for (net::NodeId id = 0;; ++id) {
-      const Peer* p = sys.peer(id);
-      if (p == nullptr) break;
-      fp.bytes_up += p->stats().bytes_up.value();
-      fp.bytes_down += p->stats().bytes_down.value();
+    for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+      const NodeView p = sys.node(id);
+      fp.bytes_up += p.stats().bytes_up.value();
+      fp.bytes_down += p.stats().bytes_down.value();
       for (const SubstreamId j : substreams(sys.params().substream_count)) {
-        fp.heads += p->head(j).value();
+        fp.heads += p.head(j).value();
       }
     }
     return fp;

@@ -26,13 +26,12 @@ TEST_P(InvariantsTest, HoldAfterChurnyRun) {
   const auto live_edge = sys.source_head(SubstreamId(0), simulation.now());
   std::size_t live_seen = 0;
 
-  for (net::NodeId id = 0;; ++id) {
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
     const Peer* p = sys.peer(id);
-    if (p == nullptr) break;
-    if (!p->alive()) {
-      // Dead peers are fully torn down.
-      EXPECT_TRUE(p->partners().empty()) << id;
-      EXPECT_TRUE(p->out_links().empty()) << id;
+    if (p == nullptr) {
+      // Dead peers are fully torn down: only their record is left.
+      EXPECT_EQ(sys.node(id).phase(), PeerPhase::kLeft) << id;
+      EXPECT_EQ(sys.node(id).partner_count(), 0u) << id;
       EXPECT_FALSE(sys.bootstrap().contains(id)) << id;
       continue;
     }
@@ -110,10 +109,9 @@ TEST(GossipTest, MembershipKnowledgeSpreads) {
 
   std::size_t viewers = 0;
   std::size_t knows_more = 0;
-  for (net::NodeId id = 0;; ++id) {
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
     const Peer* p = sys.peer(id);
-    if (p == nullptr) break;
-    if (!p->alive() || p->kind() != PeerKind::kViewer) continue;
+    if (p == nullptr || p->kind() != PeerKind::kViewer) continue;
     // Only count peers that have been in the system for a while.
     if (simulation.now() - p->joined_at() < units::Duration(120.0)) continue;
     ++viewers;

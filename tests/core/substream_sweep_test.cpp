@@ -46,10 +46,9 @@ TEST_P(SubstreamSweepTest, SmallBroadcastStaysHealthy) {
   // legitimate transient), and intra-node spread stays inside the buffer.
   std::size_t playing = 0;
   std::size_t orphaned = 0;
-  for (net::NodeId id = 0;; ++id) {
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
     const Peer* p = sys.peer(id);
-    if (p == nullptr) break;
-    if (!p->alive() || p->kind() != PeerKind::kViewer) continue;
+    if (p == nullptr || p->kind() != PeerKind::kViewer) continue;
     if (p->phase() != PeerPhase::kPlaying) continue;
     ++playing;
     int subscribed = 0;

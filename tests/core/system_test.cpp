@@ -141,7 +141,8 @@ TEST(SystemTest, GracefulLeaveReportsAndCleansUp) {
   EXPECT_FALSE(sys.is_live(id));
   EXPECT_EQ(sys.live_viewer_count(), 0u);
   EXPECT_FALSE(sys.bootstrap().contains(id));
-  EXPECT_EQ(sys.peer(id)->phase(), PeerPhase::kLeft);
+  EXPECT_EQ(sys.peer(id), nullptr);  // the Peer is freed at departure
+  EXPECT_EQ(sys.node(id).phase(), PeerPhase::kLeft);
 
   const auto sessions = logging::reconstruct_sessions(log.parse_all());
   ASSERT_EQ(sessions.sessions.size(), 1u);

@@ -86,16 +86,15 @@ std::string sample_digest(core::System& sys) {
   out << st.joins << '/' << st.leaves << '/' << st.blocks_transferred << '/'
       << st.partnership_accepts << '/' << st.partnership_rejects << '/'
       << st.subscriptions << '\n';
-  for (net::NodeId id = 0;; ++id) {
-    const core::Peer* p = sys.peer(id);
-    if (p == nullptr) break;
-    out << id << ':' << static_cast<int>(p->phase()) << ','
-        << p->playhead().value() << ',' << p->partner_count();
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+    const core::NodeView p = sys.node(id);
+    out << id << ':' << static_cast<int>(p.phase()) << ','
+        << p.playhead().value() << ',' << p.partner_count();
     for (const core::SubstreamId j :
          core::substreams(sys.params().substream_count)) {
-      out << ',' << p->head(j).value();
+      out << ',' << p.head(j).value();
     }
-    const core::PeerStats& ps = p->stats();
+    const core::PeerStats& ps = p.stats();
     out << ',' << ps.blocks_due << ',' << ps.blocks_on_time << ','
         << ps.bytes_down.value() << ',' << ps.adaptations << ','
         << ps.resyncs << '\n';

@@ -17,6 +17,22 @@ std::vector<BlockRate> rates_of(const std::vector<double>& v) {
   return out;
 }
 
+// The allocators write into caller-owned storage; these wrappers give each
+// assertion a fresh, correctly sized output.
+std::vector<BlockRate> mmf(BlockRate capacity,
+                           const std::vector<BlockRate>& demands) {
+  std::vector<BlockRate> rates(demands.size(), BlockRate(-1.0));
+  max_min_fair(capacity, demands, rates);
+  return rates;
+}
+
+std::vector<BlockRate> eq_share(BlockRate capacity,
+                                const std::vector<BlockRate>& demands) {
+  std::vector<BlockRate> rates(demands.size(), BlockRate(-1.0));
+  equal_share(capacity, demands, rates);
+  return rates;
+}
+
 double total(const std::vector<BlockRate>& v) {
   double sum = 0.0;
   for (BlockRate r : v) sum += r.value();
@@ -24,18 +40,18 @@ double total(const std::vector<BlockRate>& v) {
 }
 
 TEST(MaxMinFairTest, EmptyDemands) {
-  EXPECT_TRUE(max_min_fair(BlockRate(10.0), {}).empty());
+  EXPECT_TRUE(mmf(BlockRate(10.0), {}).empty());
 }
 
 TEST(MaxMinFairTest, AmpleCapacityMeetsAllDemands) {
   const auto d = rates_of({1.0, 2.0, 3.0});
-  const auto r = max_min_fair(BlockRate(100.0), d);
+  const auto r = mmf(BlockRate(100.0), d);
   for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(r[i], d[i]);
 }
 
 TEST(MaxMinFairTest, EqualSplitWhenDemandsExceed) {
   const auto d = rates_of({10.0, 10.0, 10.0});
-  const auto r = max_min_fair(BlockRate(9.0), d);
+  const auto r = mmf(BlockRate(9.0), d);
   for (BlockRate v : r) EXPECT_EQ(v, BlockRate(3.0));
 }
 
@@ -43,7 +59,7 @@ TEST(MaxMinFairTest, SmallDemandSatisfiedSurplusRedistributed) {
   // Classic max-min example: capacity 10, demands {2, 8, 8}.
   // Round 1: share 3.33 -> first capped at 2; remaining 8 split -> 4 each.
   const auto d = rates_of({2.0, 8.0, 8.0});
-  const auto r = max_min_fair(BlockRate(10.0), d);
+  const auto r = mmf(BlockRate(10.0), d);
   EXPECT_EQ(r[0], BlockRate(2.0));
   EXPECT_EQ(r[1], BlockRate(4.0));
   EXPECT_EQ(r[2], BlockRate(4.0));
@@ -51,14 +67,14 @@ TEST(MaxMinFairTest, SmallDemandSatisfiedSurplusRedistributed) {
 
 TEST(MaxMinFairTest, ZeroDemandGetsZero) {
   const auto d = rates_of({0.0, 5.0});
-  const auto r = max_min_fair(BlockRate(3.0), d);
+  const auto r = mmf(BlockRate(3.0), d);
   EXPECT_EQ(r[0], BlockRate::zero());
   EXPECT_EQ(r[1], BlockRate(3.0));
 }
 
 TEST(MaxMinFairTest, ZeroCapacity) {
   const auto d = rates_of({1.0, 2.0});
-  const auto r = max_min_fair(BlockRate::zero(), d);
+  const auto r = mmf(BlockRate::zero(), d);
   EXPECT_DOUBLE_EQ(total(r), 0.0);
 }
 
@@ -70,7 +86,7 @@ TEST(MaxMinFairTest, Eq5CompetitionRate) {
     const BlockRate capacity(d_p * kSubRate);
     const std::vector<BlockRate> demands(static_cast<std::size_t>(d_p) + 1,
                                          BlockRate(kSubRate));
-    const auto r = max_min_fair(capacity, demands);
+    const auto r = mmf(capacity, demands);
     for (BlockRate v : r) {
       EXPECT_NEAR(v.value(), d_p / (d_p + 1.0) * kSubRate, 1e-12)
           << "D_p=" << d_p;
@@ -91,7 +107,7 @@ TEST_P(MaxMinPropertyTest, Invariants) {
                           : BlockRate(rng.uniform(0.0, 10.0));
     }
     const BlockRate capacity(rng.uniform(0.0, 30.0));
-    const auto rates = max_min_fair(capacity, demands);
+    const auto rates = mmf(capacity, demands);
     ASSERT_EQ(rates.size(), n);
 
     double sum = 0.0;
@@ -119,19 +135,31 @@ TEST_P(MaxMinPropertyTest, Invariants) {
   }
 }
 
+TEST(MaxMinFairTest, ReusedOutputIsOverwritten) {
+  // The data plane reuses one rates buffer across parents and ticks: a
+  // call must overwrite every entry, whatever the buffer held before.
+  std::vector<BlockRate> rates(3, BlockRate(99.0));
+  max_min_fair(BlockRate(10.0), rates_of({0.0, 8.0, 8.0}), rates);
+  EXPECT_EQ(rates[0], BlockRate::zero());
+  EXPECT_EQ(rates[1], BlockRate(5.0));
+  EXPECT_EQ(rates[2], BlockRate(5.0));
+  equal_share(BlockRate::zero(), rates_of({1.0, 2.0, 0.0}), rates);
+  for (BlockRate v : rates) EXPECT_EQ(v, BlockRate::zero());
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, MaxMinPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 4u, 5u));
 
 TEST(EqualShareTest, CapsAtDemand) {
   const auto d = rates_of({1.0, 10.0});
-  const auto r = equal_share(BlockRate(10.0), d);
+  const auto r = eq_share(BlockRate(10.0), d);
   EXPECT_EQ(r[0], BlockRate(1.0));
   EXPECT_EQ(r[1], BlockRate(5.0));  // surplus NOT redistributed
 }
 
 TEST(EqualShareTest, ZeroDemandExcludedFromSplit) {
   const auto d = rates_of({0.0, 10.0, 10.0});
-  const auto r = equal_share(BlockRate(8.0), d);
+  const auto r = eq_share(BlockRate(8.0), d);
   EXPECT_EQ(r[0], BlockRate::zero());
   EXPECT_EQ(r[1], BlockRate(4.0));
   EXPECT_EQ(r[2], BlockRate(4.0));
@@ -144,8 +172,8 @@ TEST(EqualShareTest, NeverExceedsMaxMinTotal) {
     std::vector<BlockRate> demands(n);
     for (auto& d : demands) d = BlockRate(rng.uniform(0.0, 5.0));
     const BlockRate capacity(rng.uniform(0.0, 12.0));
-    const double eq = total(equal_share(capacity, demands));
-    const double mm = total(max_min_fair(capacity, demands));
+    const double eq = total(eq_share(capacity, demands));
+    const double mm = total(mmf(capacity, demands));
     ASSERT_LE(eq, mm + 1e-9);  // max-min wastes nothing; equal share may
   }
 }

@@ -49,17 +49,16 @@ std::string digest(workload::ScenarioRunner& runner,
     out << t.value() << ',' << v << ';';
   }
   out << '\n';
-  for (net::NodeId id = 0;; ++id) {
-    const core::Peer* p = sys.peer(id);
-    if (p == nullptr) break;
-    out << id << ": phase=" << static_cast<int>(p->phase())
-        << " play=" << p->playhead().value()
-        << " partners=" << p->partner_count() << " heads=";
+  for (net::NodeId id = 0; id < sys.node_count(); ++id) {
+    const core::NodeView p = sys.node(id);
+    out << id << ": phase=" << static_cast<int>(p.phase())
+        << " play=" << p.playhead().value()
+        << " partners=" << p.partner_count() << " heads=";
     for (const core::SubstreamId j :
          core::substreams(sys.params().substream_count)) {
-      out << p->head(j).value() << ',';
+      out << p.head(j).value() << ',';
     }
-    const core::PeerStats& ps = p->stats();
+    const core::PeerStats& ps = p.stats();
     out << " due=" << ps.blocks_due << " ontime=" << ps.blocks_on_time
         << " up=" << ps.bytes_up.value() << " down=" << ps.bytes_down.value()
         << " adapt=" << ps.adaptations << " switch=" << ps.parent_switches

@@ -1,6 +1,6 @@
 // Layout census: walks the constexpr audit registry (core/layout_audit.h)
 // and renders it as JSON — sizeof, alignof, budget, member offsets, padding
-// holes, and the bytes/peer roll-up.
+// holes, the bytes/peer roll-up, and the bytes a departed session keeps.
 //
 // Modes:
 //   layout_census                     print the census JSON to stdout
@@ -96,7 +96,14 @@ std::string render_census() {
   std::snprintf(buf, sizeof buf, "    \"total\": %zu\n",
                 coolstream::core::layout::bytes_per_peer());
   out += buf;
-  out += "  }\n";
+  out += "  },\n";
+  // A departed session keeps only its DepartedPeer record (System::leave).
+  using Departed = coolstream::core::layout::AuditTraits<
+      coolstream::core::DepartedPeer>;
+  std::snprintf(buf, sizeof buf,
+                "  \"bytes_per_departed_session\": {\"%s\": %zu}\n",
+                Departed::name, Departed::size);
+  out += buf;
   out += "}\n";
   return out;
 }

@@ -51,10 +51,14 @@ fi
 if [ "$QUICK" = "1" ]; then
   # The suites where instrumentation has signal: the threaded components
   # (incl. the shard-runner barrier stress tier), the slab/event engine,
-  # the protocol core, and one end-to-end pass.
+  # the protocol core (with the peer-lifecycle and stale-id tests: a
+  # departed Peer is freed, so a stale id is a use-after-free only a
+  # sanitizer sees), the goldens (the contended one crashes 20% of the
+  # viewers mid-run), and one end-to-end pass.
   TIERS=(
     "sim-engine:^(sim_tests|sim_stress_tests|sim_allocation_tests)$"
-    "protocol-core:^core_tests$"
+    "protocol-core:^(core_tests|core_allocation_tests)$"
+    "golden:^(golden_tests|golden_tests_4shard)$"
     "integration:^integration_tests$"
     # The 8-shard flash-crowd stress run is where TSan sees the sharded
     # tick's parallel phases race for real — always in the quick set.
