@@ -19,9 +19,8 @@
 //   * The arena is shard-confined, NOT thread-safe (DESIGN.md §13): every
 //     lease lives and dies on the owning System's shard, so the refcount
 //     is a plain uint32 on purpose — no mutex, no atomic (the
-//     atomic-in-protocol lint rule and the shared-state census both pin
-//     this).  Cross-shard messaging copies payloads at the tick barrier
-//     instead of sharing leases.
+//     shared-state census pins this).  Cross-shard messaging copies
+//     payloads at the tick barrier instead of sharing leases.
 #pragma once
 
 #include <cassert>

@@ -31,7 +31,7 @@
 namespace coolstream::core {
 
 namespace layout {
-struct Introspect;  // layout_audit.h: offsetof over audited private members
+struct Introspect;  // layout_audit.h: reads audited members by binding
 }  // namespace layout
 
 /// A 2K-tuple buffer map, word-packed.
@@ -169,7 +169,7 @@ class BufferMap {
   }
 
  private:
-  friend struct layout::Introspect;  // member offsets for the layout census
+  friend struct layout::Introspect;  // member sizes for the padding check
 
   std::int32_t k_ = 0;
   std::uint32_t sub_bits_ = 0;

@@ -5,29 +5,30 @@
 // Everything that will live in a slab must be trivially copyable (so slabs
 // can be memcpy-grown and checkpointed), standard layout (so offsetof and
 // column views are defined), heap-free, and padding-tight — and must STAY
-// that way.  This header makes the contract a compile-time proof:
+// that way.  This header makes the contract a compile-time proof, and it
+// is the contract's only enforcement:
 //
 //   COOLSTREAM_LAYOUT_AUDIT(Type, budget)  proves trivially-copyable +
 //       standard-layout + not over-aligned + sizeof within `budget`, and
 //       registers the type (via an AuditTraits specialization) for the
-//       census below.
+//       registry below.
 //   COOLSTREAM_LAYOUT_PIN(Type, exact)     freezes sizeof exactly, so a
 //       padding hole or member growth fails the build rather than silently
 //       inflating every slab.
 //
 // The constexpr registry at the bottom is the single manifest of audited
-// types.  tools/layout/layout_census walks it and emits
-// tools/layout/layout_census.json (sizes, member offsets, padding holes,
-// bytes/peer roll-up); the `layout_census` ctest byte-compares that file on
-// gcc and clang, so layout drift is a visible, reviewed artifact.
-// coolstream_lint's layout rule family (heap-in-audited, virtual-in-
-// protocol, unaudited-member, padding-order, raw-aos) polices the source
-// text side of the same contract.
+// types.  Each entry states its data-member count and must be
+// padding-tight: sizeof(T) equals its member bytes rounded up to
+// alignof(T), so no reordering can shrink T.  The registry also rolls the per-peer
+// bytes up against a 4 KiB gate.  core/peer.cpp includes this header, so
+// every build of coolstream_core compiles the proofs; none of it emits
+// code.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <type_traits>
+#include <utility>
 
 #include "core/buffer_map.h"
 #include "core/mcache.h"
@@ -46,9 +47,8 @@ struct AuditTraits;
 
 }  // namespace coolstream::core::layout
 
-/// Proves the slab contract for `Type` and registers it for the census.
-/// Use at namespace scope with an unqualified (or alias) type name; the
-/// stringized name is the census display name.
+/// Proves the slab contract for `Type` and registers it for the registry.
+/// Use at namespace scope with an unqualified (or alias) type name.
 #define COOLSTREAM_LAYOUT_AUDIT(Type, budget_bytes)                          \
   static_assert(std::is_trivially_copyable_v<Type>,                          \
                 #Type " must be trivially copyable (SoA slab contract: "     \
@@ -65,43 +65,27 @@ struct AuditTraits;
                       "review (DESIGN.md §14)");                        \
   template <>                                                                \
   struct coolstream::core::layout::AuditTraits<Type> {                       \
-    static constexpr const char* name = #Type;                               \
     static constexpr std::size_t size = sizeof(Type);                        \
-    static constexpr std::size_t align = alignof(Type);                      \
-    static constexpr std::size_t budget = (budget_bytes);                    \
   }
 
 /// Freezes sizeof(Type) exactly.  Any drift — a new member, a reorder, a
-/// padding hole — must regenerate the census and update the pin in the
-/// same change, making layout cost visible in review.
+/// padding hole — must update the pin in the same change, making layout
+/// cost visible in review.
 #define COOLSTREAM_LAYOUT_PIN(Type, exact_bytes)                             \
   static_assert(sizeof(Type) == (exact_bytes),                               \
                 #Type " layout drifted from its pinned " #exact_bytes        \
                       " bytes (padding regression or member change); "       \
-                      "regenerate tools/layout/layout_census.json and "      \
                       "update the pin if the cost is accepted")
 
 namespace coolstream::core::layout {
 
-/// One recorded member of an audited type (offsets via offsetof, which the
-/// standard-layout proof above makes well-defined).
-struct MemberInfo {
-  const char* name;
-  std::size_t offset;
-  std::size_t size;
-};
-
-/// One census entry.  `per_peer` is the instance count charged to the
+/// One registry entry.  `per_peer` is the instance count charged to the
 /// bytes/peer roll-up (0: contained in another audited type, or a
 /// transient message not resident per peer).
 struct TypeLayout {
-  const char* name;
   std::size_t size;
-  std::size_t align;
-  std::size_t budget;
   std::size_t per_peer;
-  const MemberInfo* members;  ///< nullptr: opaque leaf (no public layout)
-  std::size_t member_count;
+  bool padding_tight;  ///< see padding_tight() below; true for opaque leaves
 };
 
 // ---------------------------------------------------------------------------
@@ -113,8 +97,7 @@ struct TypeLayout {
 
 // Audits are invoked from namespace coolstream (which encloses
 // core::layout, as AuditTraits specialization requires) with
-// module-qualified names; the qualified name doubles as the census
-// display name.
+// module-qualified names.
 namespace coolstream {
 
 COOLSTREAM_LAYOUT_AUDIT(core::BufferMap, 136);
@@ -165,207 +148,82 @@ COOLSTREAM_LAYOUT_PIN(logging::PartnerChange, 8);
 
 namespace coolstream::core::layout {
 
-/// Member manifests.  Declared inside one struct so a single friend
-/// declaration grants offsetof access to audited private members
+/// Sizes of a type's data members, carried in the type so the padding
+/// check can read them without an object.
+template <std::size_t... S>
+struct MemberSizes {
+  static constexpr std::size_t bytes = (S + ... + std::size_t{0});
+};
+
+template <typename... M>
+constexpr MemberSizes<sizeof(M)...> member_sizes_of(const M&...) {
+  return {};
+}
+
+// Binding names for the ladder below (they skip `t`, the parameter).
+#define COOLSTREAM_LAYOUT_N8 a, b, c, d, e, f, g, h
+#define COOLSTREAM_LAYOUT_N16 COOLSTREAM_LAYOUT_N8, i, j, k, l, m, n, o, p
+#define COOLSTREAM_LAYOUT_N24 COOLSTREAM_LAYOUT_N16, q, r, s, u, v, w, x, y
+#define COOLSTREAM_LAYOUT_BIND(count, ...)   \
+  if constexpr (N == (count)) {              \
+    auto& [__VA_ARGS__] = t;                 \
+    return member_sizes_of(__VA_ARGS__);     \
+  } else
+
+/// Reads member sizes through a structured binding.  A struct so one
+/// friend declaration grants access to audited private members
 /// (currently only BufferMap's).
 struct Introspect {
-  // NOLINTBEGIN -- offsetof on these types is sanctioned by their
-  // standard-layout proofs above.
-  static constexpr MemberInfo kBufferMap[] = {
-      {"k_", offsetof(BufferMap, k_), sizeof(std::int32_t)},
-      {"sub_bits_", offsetof(BufferMap, sub_bits_), sizeof(std::uint32_t)},
-      {"latest_", offsetof(BufferMap, latest_),
-       sizeof(SeqNum) * BufferMap::kMaxSubstreams},
-  };
-
-  static constexpr MemberInfo kPartnerState[] = {
-      {"id", offsetof(PartnerState, id), sizeof(PartnerState::id)},
-      {"incoming", offsetof(PartnerState, incoming),
-       sizeof(PartnerState::incoming)},
-      {"established", offsetof(PartnerState, established),
-       sizeof(PartnerState::established)},
-      {"bm", offsetof(PartnerState, bm), sizeof(PartnerState::bm)},
-      {"bm_time", offsetof(PartnerState, bm_time),
-       sizeof(PartnerState::bm_time)},
-  };
-
-  static constexpr MemberInfo kOutLink[] = {
-      {"child", offsetof(OutLink, child), sizeof(OutLink::child)},
-      {"substream", offsetof(OutLink, substream),
-       sizeof(OutLink::substream)},
-  };
-
-  static constexpr MemberInfo kMcacheEntry[] = {
-      {"first_seen", offsetof(McacheEntry, first_seen),
-       sizeof(McacheEntry::first_seen)},
-      {"updated", offsetof(McacheEntry, updated),
-       sizeof(McacheEntry::updated)},
-      {"id", offsetof(McacheEntry, id), sizeof(McacheEntry::id)},
-      {"reachable", offsetof(McacheEntry, reachable),
-       sizeof(McacheEntry::reachable)},
-  };
-
-  static constexpr MemberInfo kPeerSpec[] = {
-      {"user_id", offsetof(PeerSpec, user_id), sizeof(PeerSpec::user_id)},
-      {"kind", offsetof(PeerSpec, kind), sizeof(PeerSpec::kind)},
-      {"type", offsetof(PeerSpec, type), sizeof(PeerSpec::type)},
-      {"address", offsetof(PeerSpec, address), sizeof(PeerSpec::address)},
-      {"upload_capacity", offsetof(PeerSpec, upload_capacity),
-       sizeof(PeerSpec::upload_capacity)},
-  };
-
-  static constexpr MemberInfo kPeerStats[] = {
-      {"blocks_due", offsetof(PeerStats, blocks_due),
-       sizeof(PeerStats::blocks_due)},
-      {"blocks_on_time", offsetof(PeerStats, blocks_on_time),
-       sizeof(PeerStats::blocks_on_time)},
-      {"bytes_up", offsetof(PeerStats, bytes_up),
-       sizeof(PeerStats::bytes_up)},
-      {"bytes_down", offsetof(PeerStats, bytes_down),
-       sizeof(PeerStats::bytes_down)},
-      {"stall_seconds", offsetof(PeerStats, stall_seconds),
-       sizeof(PeerStats::stall_seconds)},
-      {"capable_subscription_time",
-       offsetof(PeerStats, capable_subscription_time),
-       sizeof(PeerStats::capable_subscription_time)},
-      {"weak_subscription_time",
-       offsetof(PeerStats, weak_subscription_time),
-       sizeof(PeerStats::weak_subscription_time)},
-      {"adaptations", offsetof(PeerStats, adaptations),
-       sizeof(PeerStats::adaptations)},
-      {"parent_switches", offsetof(PeerStats, parent_switches),
-       sizeof(PeerStats::parent_switches)},
-      {"partnership_attempts", offsetof(PeerStats, partnership_attempts),
-       sizeof(PeerStats::partnership_attempts)},
-      {"partnership_rejections",
-       offsetof(PeerStats, partnership_rejections),
-       sizeof(PeerStats::partnership_rejections)},
-      {"window_skips", offsetof(PeerStats, window_skips),
-       sizeof(PeerStats::window_skips)},
-      {"deadline_skips", offsetof(PeerStats, deadline_skips),
-       sizeof(PeerStats::deadline_skips)},
-      {"stalls", offsetof(PeerStats, stalls), sizeof(PeerStats::stalls)},
-      {"resyncs", offsetof(PeerStats, resyncs),
-       sizeof(PeerStats::resyncs)},
-      {"capable_subscriptions_ended",
-       offsetof(PeerStats, capable_subscriptions_ended),
-       sizeof(PeerStats::capable_subscriptions_ended)},
-      {"weak_subscriptions_ended",
-       offsetof(PeerStats, weak_subscriptions_ended),
-       sizeof(PeerStats::weak_subscriptions_ended)},
-  };
-
-  static constexpr MemberInfo kPeerProtocolState[] = {
-      {"spec_", offsetof(PeerProtocolState, spec_),
-       sizeof(PeerProtocolState::spec_)},
-      {"session_id_", offsetof(PeerProtocolState, session_id_),
-       sizeof(PeerProtocolState::session_id_)},
-      {"joined_at_", offsetof(PeerProtocolState, joined_at_),
-       sizeof(PeerProtocolState::joined_at_)},
-      {"first_bm_at_", offsetof(PeerProtocolState, first_bm_at_),
-       sizeof(PeerProtocolState::first_bm_at_)},
-      {"play_start_seq_", offsetof(PeerProtocolState, play_start_seq_),
-       sizeof(PeerProtocolState::play_start_seq_)},
-      {"play_start_time_", offsetof(PeerProtocolState, play_start_time_),
-       sizeof(PeerProtocolState::play_start_time_)},
-      {"last_deadline_counted_",
-       offsetof(PeerProtocolState, last_deadline_counted_),
-       sizeof(PeerProtocolState::last_deadline_counted_)},
-      {"stalled_on_", offsetof(PeerProtocolState, stalled_on_),
-       sizeof(PeerProtocolState::stalled_on_)},
-      {"next_bm_push_", offsetof(PeerProtocolState, next_bm_push_),
-       sizeof(PeerProtocolState::next_bm_push_)},
-      {"next_gossip_", offsetof(PeerProtocolState, next_gossip_),
-       sizeof(PeerProtocolState::next_gossip_)},
-      {"next_adaptation_", offsetof(PeerProtocolState, next_adaptation_),
-       sizeof(PeerProtocolState::next_adaptation_)},
-      {"next_refill_", offsetof(PeerProtocolState, next_refill_),
-       sizeof(PeerProtocolState::next_refill_)},
-      {"next_report_", offsetof(PeerProtocolState, next_report_),
-       sizeof(PeerProtocolState::next_report_)},
-      {"last_adaptation_", offsetof(PeerProtocolState, last_adaptation_),
-       sizeof(PeerProtocolState::last_adaptation_)},
-      {"last_resync_", offsetof(PeerProtocolState, last_resync_),
-       sizeof(PeerProtocolState::last_resync_)},
-      {"interval_due_", offsetof(PeerProtocolState, interval_due_),
-       sizeof(PeerProtocolState::interval_due_)},
-      {"interval_on_time_", offsetof(PeerProtocolState, interval_on_time_),
-       sizeof(PeerProtocolState::interval_on_time_)},
-      {"interval_bytes_up_",
-       offsetof(PeerProtocolState, interval_bytes_up_),
-       sizeof(PeerProtocolState::interval_bytes_up_)},
-      {"interval_bytes_down_",
-       offsetof(PeerProtocolState, interval_bytes_down_),
-       sizeof(PeerProtocolState::interval_bytes_down_)},
-      {"bm_cache_", offsetof(PeerProtocolState, bm_cache_),
-       sizeof(PeerProtocolState::bm_cache_)},
-      {"bm_cache_version_",
-       offsetof(PeerProtocolState, bm_cache_version_),
-       sizeof(PeerProtocolState::bm_cache_version_)},
-      {"stats_", offsetof(PeerProtocolState, stats_),
-       sizeof(PeerProtocolState::stats_)},
-      {"phase_", offsetof(PeerProtocolState, phase_),
-       sizeof(PeerProtocolState::phase_)},
-      {"start_decided_", offsetof(PeerProtocolState, start_decided_),
-       sizeof(PeerProtocolState::start_decided_)},
-      {"start_sub_emitted_",
-       offsetof(PeerProtocolState, start_sub_emitted_),
-       sizeof(PeerProtocolState::start_sub_emitted_)},
-      {"had_incoming_", offsetof(PeerProtocolState, had_incoming_),
-       sizeof(PeerProtocolState::had_incoming_)},
-      {"had_outgoing_", offsetof(PeerProtocolState, had_outgoing_),
-       sizeof(PeerProtocolState::had_outgoing_)},
-  };
-
-  static constexpr MemberInfo kDepartedPeer[] = {
-      {"spec", offsetof(DepartedPeer, spec), sizeof(DepartedPeer::spec)},
-      {"stats", offsetof(DepartedPeer, stats), sizeof(DepartedPeer::stats)},
-      {"play_start_seq", offsetof(DepartedPeer, play_start_seq),
-       sizeof(DepartedPeer::play_start_seq)},
-      {"playhead", offsetof(DepartedPeer, playhead),
-       sizeof(DepartedPeer::playhead)},
-      {"blocks_received", offsetof(DepartedPeer, blocks_received),
-       sizeof(DepartedPeer::blocks_received)},
-      {"heads", offsetof(DepartedPeer, heads), sizeof(DepartedPeer::heads)},
-  };
-
-  static constexpr MemberInfo kReportHeader[] = {
-      {"user_id", offsetof(logging::ReportHeader, user_id),
-       sizeof(logging::ReportHeader::user_id)},
-      {"session_id", offsetof(logging::ReportHeader, session_id),
-       sizeof(logging::ReportHeader::session_id)},
-      {"time", offsetof(logging::ReportHeader, time),
-       sizeof(logging::ReportHeader::time)},
-  };
-
-  static constexpr MemberInfo kQosReport[] = {
-      {"header", offsetof(logging::QosReport, header),
-       sizeof(logging::QosReport::header)},
-      {"blocks_due", offsetof(logging::QosReport, blocks_due),
-       sizeof(logging::QosReport::blocks_due)},
-      {"blocks_on_time", offsetof(logging::QosReport, blocks_on_time),
-       sizeof(logging::QosReport::blocks_on_time)},
-  };
-
-  static constexpr MemberInfo kTrafficReport[] = {
-      {"header", offsetof(logging::TrafficReport, header),
-       sizeof(logging::TrafficReport::header)},
-      {"bytes_down", offsetof(logging::TrafficReport, bytes_down),
-       sizeof(logging::TrafficReport::bytes_down)},
-      {"bytes_up", offsetof(logging::TrafficReport, bytes_up),
-       sizeof(logging::TrafficReport::bytes_up)},
-  };
-
-  static constexpr MemberInfo kPartnerChange[] = {
-      {"partner", offsetof(logging::PartnerChange, partner),
-       sizeof(logging::PartnerChange::partner)},
-      {"added", offsetof(logging::PartnerChange, added),
-       sizeof(logging::PartnerChange::added)},
-      {"incoming", offsetof(logging::PartnerChange, incoming),
-       sizeof(logging::PartnerChange::incoming)},
-  };
-  // NOLINTEND
+  /// Binds T's data members to exactly N names, which fails to compile
+  /// unless T has exactly N data members, and returns their sizes.  Only
+  /// ever named inside decltype.
+  template <std::size_t N, typename T>
+  static auto members(T& t) {
+    COOLSTREAM_LAYOUT_BIND(1, a)
+    COOLSTREAM_LAYOUT_BIND(2, a, b)
+    COOLSTREAM_LAYOUT_BIND(3, a, b, c)
+    COOLSTREAM_LAYOUT_BIND(4, a, b, c, d)
+    COOLSTREAM_LAYOUT_BIND(5, a, b, c, d, e)
+    COOLSTREAM_LAYOUT_BIND(6, a, b, c, d, e, f)
+    COOLSTREAM_LAYOUT_BIND(7, a, b, c, d, e, f, g)
+    COOLSTREAM_LAYOUT_BIND(8, COOLSTREAM_LAYOUT_N8)
+    COOLSTREAM_LAYOUT_BIND(9, COOLSTREAM_LAYOUT_N8, i)
+    COOLSTREAM_LAYOUT_BIND(10, COOLSTREAM_LAYOUT_N8, i, j)
+    COOLSTREAM_LAYOUT_BIND(11, COOLSTREAM_LAYOUT_N8, i, j, k)
+    COOLSTREAM_LAYOUT_BIND(12, COOLSTREAM_LAYOUT_N8, i, j, k, l)
+    COOLSTREAM_LAYOUT_BIND(13, COOLSTREAM_LAYOUT_N8, i, j, k, l, m)
+    COOLSTREAM_LAYOUT_BIND(14, COOLSTREAM_LAYOUT_N8, i, j, k, l, m, n)
+    COOLSTREAM_LAYOUT_BIND(15, COOLSTREAM_LAYOUT_N8, i, j, k, l, m, n, o)
+    COOLSTREAM_LAYOUT_BIND(16, COOLSTREAM_LAYOUT_N16)
+    COOLSTREAM_LAYOUT_BIND(17, COOLSTREAM_LAYOUT_N16, q)
+    COOLSTREAM_LAYOUT_BIND(18, COOLSTREAM_LAYOUT_N16, q, r)
+    COOLSTREAM_LAYOUT_BIND(19, COOLSTREAM_LAYOUT_N16, q, r, s)
+    COOLSTREAM_LAYOUT_BIND(20, COOLSTREAM_LAYOUT_N16, q, r, s, u)
+    COOLSTREAM_LAYOUT_BIND(21, COOLSTREAM_LAYOUT_N16, q, r, s, u, v)
+    COOLSTREAM_LAYOUT_BIND(22, COOLSTREAM_LAYOUT_N16, q, r, s, u, v, w)
+    COOLSTREAM_LAYOUT_BIND(23, COOLSTREAM_LAYOUT_N16, q, r, s, u, v, w, x)
+    COOLSTREAM_LAYOUT_BIND(24, COOLSTREAM_LAYOUT_N24)
+    COOLSTREAM_LAYOUT_BIND(25, COOLSTREAM_LAYOUT_N24, z)
+    COOLSTREAM_LAYOUT_BIND(26, COOLSTREAM_LAYOUT_N24, z, aa)
+    COOLSTREAM_LAYOUT_BIND(27, COOLSTREAM_LAYOUT_N24, z, aa, ab)
+    COOLSTREAM_LAYOUT_BIND(28, COOLSTREAM_LAYOUT_N24, z, aa, ab, ac)
+    COOLSTREAM_LAYOUT_BIND(29, COOLSTREAM_LAYOUT_N24, z, aa, ab, ac, ad)
+    COOLSTREAM_LAYOUT_BIND(30, COOLSTREAM_LAYOUT_N24, z, aa, ab, ac, ad, ae)
+    COOLSTREAM_LAYOUT_BIND(31, COOLSTREAM_LAYOUT_N24, z, aa, ab, ac, ad, ae,
+                           af)
+    COOLSTREAM_LAYOUT_BIND(32, COOLSTREAM_LAYOUT_N24, z, aa, ab, ac, ad, ae,
+                           af, ag) {
+      static_assert(N >= 1 && N <= 32,
+                    "member count outside 1..32; extend the binding ladder");
+      return MemberSizes<>{};
+    }
+  }
 };
+
+#undef COOLSTREAM_LAYOUT_BIND
+#undef COOLSTREAM_LAYOUT_N24
+#undef COOLSTREAM_LAYOUT_N16
+#undef COOLSTREAM_LAYOUT_N8
 
 namespace detail {
 
@@ -373,19 +231,34 @@ namespace detail {
 /// multiplicities below track Params defaults automatically.
 inline constexpr Params kDefaultParams{};
 
+}  // namespace detail
+
+/// The padding check, for a type T with N data members:
+/// sizeof(T) == round_up(Σ sizeof(member), alignof(T)).  Then the only
+/// padding is tail slack smaller than alignof(T), so sorting the members
+/// by alignment cannot shrink T.  The sizes come from a structured
+/// binding of exactly N names, so a wrong N (a member added, dropped or
+/// miscounted) does not compile.  Members are charged at their own
+/// sizeof, so an audited member type's tail padding is its own entry's
+/// concern.
 template <typename T, std::size_t N>
-constexpr TypeLayout entry(std::size_t per_peer, const MemberInfo (&m)[N]) {
-  return {AuditTraits<T>::name, AuditTraits<T>::size, AuditTraits<T>::align,
-          AuditTraits<T>::budget, per_peer, m, N};
+constexpr bool padding_tight() {
+  constexpr std::size_t bytes =
+      decltype(Introspect::members<N>(std::declval<T&>()))::bytes;
+  return sizeof(T) == (bytes + alignof(T) - 1) / alignof(T) * alignof(T);
 }
 
+/// Registry entry for an audited type with N data members.
+template <typename T, std::size_t N>
+constexpr TypeLayout entry(std::size_t per_peer) {
+  return {AuditTraits<T>::size, per_peer, padding_tight<T, N>()};
+}
+
+/// Registry entry for an audited type whose representation is private.
 template <typename T>
 constexpr TypeLayout leaf_entry(std::size_t per_peer) {
-  return {AuditTraits<T>::name, AuditTraits<T>::size, AuditTraits<T>::align,
-          AuditTraits<T>::budget, per_peer, nullptr, 0};
+  return {AuditTraits<T>::size, per_peer, true};
 }
-
-}  // namespace detail
 
 /// Bytes/peer multiplicities (worst-case provisioned working set).
 inline constexpr std::size_t kPartnerSlots =
@@ -396,35 +269,44 @@ inline constexpr std::size_t kMcacheSlots =
 inline constexpr std::size_t kSubstreamSlots =  // lint:allow(raw-protocol-int)
     static_cast<std::size_t>(detail::kDefaultParams.substream_count);
 
-/// The census manifest.  Ordering is the census file ordering; keep new
-/// entries grouped with their module.
+/// The registry of audited types, each with its data-member count; keep
+/// new entries grouped with their module.
 inline constexpr TypeLayout kRegistry[] = {
     // core: resident per-peer protocol state
-    detail::entry<PeerProtocolState>(1, Introspect::kPeerProtocolState),
-    detail::entry<PartnerState>(kPartnerSlots, Introspect::kPartnerState),
-    detail::entry<OutLink>(kSubstreamSlots, Introspect::kOutLink),
-    detail::entry<McacheEntry>(kMcacheSlots, Introspect::kMcacheEntry),
+    entry<PeerProtocolState, 27>(1),
+    entry<PartnerState, 5>(kPartnerSlots),
+    entry<OutLink, 2>(kSubstreamSlots),
+    entry<McacheEntry, 4>(kMcacheSlots),
     // core: contained in PeerProtocolState (charged through it)
-    detail::entry<BufferMap>(0, Introspect::kBufferMap),
-    detail::entry<PeerSpec>(0, Introspect::kPeerSpec),
-    detail::entry<PeerStats>(0, Introspect::kPeerStats),
-    // core: what a departed session keeps (not charged per live peer; the
-    // census reports it as bytes per departed session)
-    detail::entry<DepartedPeer>(0, Introspect::kDepartedPeer),
+    entry<BufferMap, 3>(0),
+    entry<PeerSpec, 5>(0),
+    entry<PeerStats, 17>(0),
+    // core: what a departed session keeps (never charged per live peer)
+    entry<DepartedPeer, 6>(0),
     // net: leaf value type (private rep; audited as opaque)
-    detail::leaf_entry<net::Ipv4Address>(0),
+    leaf_entry<net::Ipv4Address>(0),
     // logging: transient §V-A report messages (not resident per peer)
-    detail::entry<logging::ReportHeader>(0, Introspect::kReportHeader),
-    detail::entry<logging::QosReport>(0, Introspect::kQosReport),
-    detail::entry<logging::TrafficReport>(0, Introspect::kTrafficReport),
-    detail::entry<logging::PartnerChange>(0, Introspect::kPartnerChange),
+    entry<logging::ReportHeader, 3>(0),
+    entry<logging::QosReport, 3>(0),
+    entry<logging::TrafficReport, 3>(0),
+    entry<logging::PartnerChange, 3>(0),
 };
 
 inline constexpr std::size_t kRegistrySize =
     sizeof(kRegistry) / sizeof(kRegistry[0]);
 
-/// The roll-up the census records and BENCH_sim_scale.json tracks: bytes
-/// of audited slab state one peer is provisioned for at default Params.
+static_assert(
+    [] {
+      for (const TypeLayout& t : kRegistry) {
+        if (!t.padding_tight) return false;
+      }
+      return true;
+    }(),
+    "an audited type is not padding-tight: reorder its members by "
+    "decreasing alignment (DESIGN.md §14)");
+
+/// The roll-up BENCH_sim_scale.json tracks: bytes of audited slab state
+/// one peer is provisioned for at default Params.
 constexpr std::size_t bytes_per_peer() {
   std::size_t total = 0;
   for (const TypeLayout& t : kRegistry) total += t.size * t.per_peer;

@@ -119,7 +119,7 @@ struct DepartedPeer {
 /// struct-of-arrays slab engine can lift it into an ID-indexed slab
 /// verbatim.  The contract — trivially copyable, standard layout, no heap,
 /// padding-tight, within a bytes/peer budget — is proved at compile time
-/// by layout_audit.h and regression-gated by tools/layout/layout_census.
+/// by layout_audit.h, which peer.cpp includes so every build checks it.
 ///
 /// `Peer` privately inherits this struct, so member names stay valid,
 /// unqualified, inside peer.cpp; the cold parts (vectors, buffers, the

@@ -108,7 +108,7 @@ struct TickEffectSink {
 };
 
 // census: worker-confined effect-capture pointer — thread_local, set only by the owning worker around the parallel phase, null in every serial context
-inline thread_local TickEffectSink* g_tick_effect_sink = nullptr;  // lint:allow(mutable-global)
+inline thread_local TickEffectSink* g_tick_effect_sink = nullptr;
 
 /// The current worker's sink, or null in any serial context.
 inline TickEffectSink* tick_effect_sink() noexcept {

@@ -9,7 +9,7 @@
 
 struct Peer;
 
-std::map<Peer*, int> g_owners;  // lint:expect(ptr-key,mutable-global)
+std::map<Peer*, int> g_owners;  // lint:expect(ptr-key)
 std::set<const char*> g_names;                        // lint:expect(ptr-key)
 
 void iterate_table() {

@@ -1,24 +1,25 @@
 // Shard-purity fixtures: process-wide mutable state in protocol-scoped
-// code (this file lives under a core/ directory, so mutable-global,
-// static-local-state and cross-peer-ptr all apply).  A sharded simulation
-// runs one System per worker; any of the constructs below would be shared
-// across every shard.
+// code.  A sharded simulation runs one System per worker; any of the
+// mutable globals and statics below would be shared across every shard.
+// They carry no `// census:` justification, so census mode rejects each
+// one (the lint_census_unjustified ctest); cross-peer-ptr applies here
+// because this file lives under a core/ directory.
 //
 // This file is lint-test data only — it is never compiled.
 
 struct Peer;
 struct System;
 
-int g_sessions_started = 0;  // lint:expect(mutable-global)
-double g_rate{1.0};  // lint:expect(mutable-global)
-static int g_tu_local_total = 0;  // lint:expect(mutable-global)
+int g_sessions_started = 0;
+double g_rate{1.0};
+static int g_tu_local_total = 0;
 
 // Immutable namespace-scope objects are fine: shards may share constants.
 constexpr int kMaxPartners = 6;
 const double kDefaultRate = 1.0;
 
 struct Stats {
-  static inline int instances = 0;  // lint:expect(mutable-global)
+  static inline int instances = 0;
   // constexpr / per-object members carry no cross-shard state.
   static constexpr int kLimit = 4;
   int per_object = 0;
@@ -32,7 +33,7 @@ struct PartnerRef {
 };
 
 int next_id() {
-  static int counter = 0;  // lint:expect(static-local-state)
+  static int counter = 0;
   return ++counter;
 }
 

@@ -12,7 +12,7 @@ struct Owner {
 };
 
 int plain_function() {
-  int local = 0;  // lint:allow(static-local-state) lint:expect(stale-allow)
+  int local = 0;  // lint:allow(no-float) lint:expect(stale-allow)
   return local;
 }
 
