@@ -143,16 +143,24 @@ void InvariantAuditor::check_peer(const Peer& p,
   }
 
   // --- buffer-map agreement (§III-C) --------------------------------------
+  // Stored maps are K lanes per partner in one array; a misaligned array
+  // would hand every later partner another's lanes, so check it first.
+  const bool lanes_aligned =
+      p.partner_lane_entries() ==
+      p.partner_count() * static_cast<std::size_t>(k);
+  if (!lanes_aligned) {
+    add(InvariantRule::kBufferMapAgreement, net::kInvalidNode,
+        "partner lane array holds " + std::to_string(p.partner_lane_entries()) +
+            " entries for " + std::to_string(p.partner_count()) +
+            " partners x " + std::to_string(k) + " sub-streams");
+  }
   for (const PartnerState& ps : p.partners()) {
+    if (!lanes_aligned) break;
     if (!ps.bm_time) continue;  // never received one
-    if (ps.bm.substream_count() != k) {
-      add(InvariantRule::kBufferMapAgreement, ps.id,
-          "stored buffer map has wrong sub-stream count");
-      continue;
-    }
+    const std::span<const SeqNum> lanes = p.partner_lanes(ps);
     const Peer* sender = sys_.peer(ps.id);
     for (SubstreamId j : substreams(k)) {
-      const SeqNum lat = ps.bm.latest(j);
+      const SeqNum lat = lanes[j.index()];
       if (lat < kNoSeq) {
         add(InvariantRule::kBufferMapAgreement, ps.id,
             "stored buffer map advertises sequence below -1");
@@ -330,8 +338,13 @@ std::vector<InvariantViolation> InvariantAuditor::audit() {
 // Test access
 // --------------------------------------------------------------------------
 
-std::vector<PartnerState>& InvariantTestAccess::partners(Peer& p) {
-  return p.partners_;
+void InvariantTestAccess::add_partner(Peer& p, const PartnerState& ps) {
+  p.partners_.push_back(ps);
+  p.partner_lanes_.resize(p.partner_lanes_.size() + p.parents_.size(), kNoSeq);
+}
+
+std::vector<SeqNum>& InvariantTestAccess::lane_array(Peer& p) {
+  return p.partner_lanes_;
 }
 
 std::vector<net::NodeId>& InvariantTestAccess::parents(Peer& p) {

@@ -44,7 +44,8 @@ struct SystemStats;
 enum class InvariantRule : unsigned char {
   kPartnerSymmetry = 0,   ///< A lists B <=> B lists A (§III-B)
   kSingleParent = 1,      ///< one serving out-link per (child, sub-stream)
-  kBufferMapAgreement = 2, ///< stored BMs within sender heads / encoder edge
+  kBufferMapAgreement = 2, ///< stored BMs within sender heads / encoder
+                           ///< edge, K lanes stored per partner
   kSyncMonotonic = 3,     ///< heads, combined prefix, byte counters forward-only
   kBlockConservation = 4, ///< sum(up) == sum(down) == blocks * block size
   kCensus = 5,            ///< live counts, boot-strap registry, step counter
@@ -124,10 +125,15 @@ class InvariantAuditor {
 /// Seeded-corruption hooks for the auditor's own tests: grants the test
 /// suite just enough access to protocol internals to plant each class of
 /// violation (asymmetric partnership, double-parent sub-stream, stale
-/// buffer-map bit, rewound head, leaked bytes) and assert the audit
-/// reports it.  Never used outside tests.
+/// buffer-map bit, misaligned partner lanes, rewound head, leaked bytes)
+/// and assert the audit reports it.  Never used outside tests.
 struct InvariantTestAccess {
-  static std::vector<struct PartnerState>& partners(Peer& p);
+  /// Appends a partner record with never-received lanes (kNoSeq), keeping
+  /// the lane array aligned with the records as a real establishment does.
+  static void add_partner(Peer& p, const struct PartnerState& ps);
+  /// The raw lane array (K entries per partner, in partners() order), for
+  /// planting a forged lane or a misalignment.
+  static std::vector<SeqNum>& lane_array(Peer& p);
   static std::vector<net::NodeId>& parents(Peer& p);
   /// Forces sub-stream `j`'s contiguous head to `seq` even if that moves
   /// it backwards (something the real SyncBuffer API cannot do).

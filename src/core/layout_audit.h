@@ -20,7 +20,7 @@
 // types.  Each entry states its data-member count and must be
 // padding-tight: sizeof(T) equals its member bytes rounded up to
 // alignof(T), so no reordering can shrink T.  The registry also rolls the per-peer
-// bytes up against a 4 KiB gate.  core/peer.cpp includes this header, so
+// bytes up against a 2,560-byte gate.  core/peer.cpp includes this header, so
 // every build of coolstream_core compiles the proofs; none of it emits
 // code.
 #pragma once
@@ -103,8 +103,13 @@ namespace coolstream {
 COOLSTREAM_LAYOUT_AUDIT(core::BufferMap, 136);
 COOLSTREAM_LAYOUT_PIN(core::BufferMap, 136);  // 2*4 + 16 lanes * 8
 
-COOLSTREAM_LAYOUT_AUDIT(core::PartnerState, 192);
-COOLSTREAM_LAYOUT_PIN(core::PartnerState, 168);
+// The partner record keeps no buffer map: its K lanes live in the owning
+// peer's lane array (one core::SeqNum entry per lane, charged below).
+COOLSTREAM_LAYOUT_AUDIT(core::PartnerState, 48);
+COOLSTREAM_LAYOUT_PIN(core::PartnerState, 40);  // 8 + 16 + 4 + 4 + 1, tail 7
+
+COOLSTREAM_LAYOUT_AUDIT(core::SeqNum, 8);
+COOLSTREAM_LAYOUT_PIN(core::SeqNum, 8);
 
 COOLSTREAM_LAYOUT_AUDIT(core::OutLink, 8);
 COOLSTREAM_LAYOUT_PIN(core::OutLink, 8);
@@ -275,6 +280,9 @@ inline constexpr TypeLayout kRegistry[] = {
     // core: resident per-peer protocol state
     entry<PeerProtocolState, 27>(1),
     entry<PartnerState, 5>(kPartnerSlots),
+    // core: the partners' buffer-map lanes, K per partner slot, stored out
+    // of line in Peer's lane array (leaf value type)
+    leaf_entry<SeqNum>(kPartnerSlots * kSubstreamSlots),
     entry<OutLink, 2>(kSubstreamSlots),
     entry<McacheEntry, 4>(kMcacheSlots),
     // core: contained in PeerProtocolState (charged through it)
@@ -313,10 +321,11 @@ constexpr std::size_t bytes_per_peer() {
   return total;
 }
 
-/// The budget gate: the provisioned roll-up must stay within one 4 KiB
-/// page per peer (the SoA PR's baseline to beat; renegotiate in review).
-static_assert(bytes_per_peer() <= 4096,
-              "audited bytes/peer exceeds the 4 KiB budget; shrink the hot "
-              "state or renegotiate the gate (DESIGN.md §14)");
+/// The budget gate: the provisioned roll-up (2,376 bytes at default
+/// Params) rounded up to the next 256 bytes, so growth that gives back
+/// the out-of-line partner lanes' saving fails the build.
+static_assert(bytes_per_peer() <= 2560,
+              "audited bytes/peer exceeds the 2,560-byte budget; shrink the "
+              "hot state or renegotiate the gate (DESIGN.md §14)");
 
 }  // namespace coolstream::core::layout

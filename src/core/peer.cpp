@@ -99,6 +99,14 @@ const BufferMap& Peer::refreshed_bm() const {
 
 BufferMap Peer::current_bm() const { return refreshed_bm(); }
 
+SeqNum Peer::freshest_partner_seq() const noexcept {
+  SeqNum m = kNoSeq;
+  for (const auto& ps : partners_) {
+    if (ps.bm_time) m = std::max(m, max_latest(partner_lanes(ps)));
+  }
+  return m;
+}
+
 // --------------------------------------------------------------------------
 // Join process (§IV-A)
 // --------------------------------------------------------------------------
@@ -180,8 +188,8 @@ void Peer::on_partnership_established(net::NodeId pid, bool incoming) {
   ps.id = pid;
   ps.incoming = incoming;
   ps.established = sys_.now();
-  ps.bm = BufferMap(sys_.params().substream_count);
-  partners_.push_back(std::move(ps));
+  partners_.push_back(ps);
+  partner_lanes_.resize(partner_lanes_.size() + parents_.size(), kNoSeq);
   had_incoming_ = had_incoming_ || incoming;
   had_outgoing_ = had_outgoing_ || !incoming;
   if (interval_changes_.size() < kMaxIntervalChanges) {
@@ -225,6 +233,9 @@ void Peer::on_partner_left(net::NodeId pid) {
     sys_.apply_passed_bms(*this);
   }
   const bool was_incoming = it->incoming;
+  const auto k = static_cast<std::ptrdiff_t>(parents_.size());
+  const auto lanes = partner_lanes_.begin() + (it - partners_.begin()) * k;
+  partner_lanes_.erase(lanes, lanes + k);
   partners_.erase(it);
   if (interval_changes_.size() < kMaxIntervalChanges) {
     interval_changes_.push_back(
@@ -250,8 +261,11 @@ void Peer::on_bm_received(net::NodeId from, const BufferMap& bm,
   if (!alive()) return;
   PartnerState* ps = find_partner(from);
   if (ps == nullptr) return;  // stale sender
-  ps->bm = bm;
-  ps->bm.set_subscription_bits(subscribed);
+  const std::size_t k = parents_.size();
+  assert(bm.substream_count() == static_cast<int>(k));
+  const auto i = static_cast<std::size_t>(ps - partners_.data());
+  std::copy_n(bm.latest_data(), k, partner_lanes_.data() + i * k);
+  ps->sub_bits = subscribed;
   ps->bm_time = sys_.now();
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {
     first_bm_at_ = sys_.now();
@@ -285,10 +299,7 @@ void Peer::on_unsubscribe(net::NodeId child, SubstreamId j) {
 void Peer::decide_start_offset() {
   const Params& p = sys_.params();
   // m = the largest sequence number available across partners (§IV-A).
-  SeqNum m = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) m = std::max(m, ps.bm.max_latest());
-  }
+  const SeqNum m = freshest_partner_seq();
   if (m == kNoSeq) return;  // no usable buffer map yet; keep waiting
 
   // "a node subscribes from a block that is shifted by a parameter T_p
@@ -348,10 +359,7 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   const BlockCount tp = p.tp_block_count();
 
   const SeqNum own_max = refreshed_bm().max_latest();
-  SeqNum partner_max = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) partner_max = std::max(partner_max, ps.bm.max_latest());
-  }
+  const SeqNum partner_max = freshest_partner_seq();
 
   // Qualified candidates satisfy both inequalities (§IV-B): adopting them
   // must neither leave sub-stream j more than T_s behind our freshest
@@ -362,7 +370,7 @@ net::NodeId Peer::select_parent(SubstreamId j, net::NodeId exclude) const {
   SeqNum best_latest = sync_.head(j);
   for (const auto& ps : partners_) {
     if (ps.id == exclude || !ps.bm_time || !sys_.is_live(ps.id)) continue;
-    const SeqNum latest = ps.bm.latest(j);
+    const SeqNum latest = partner_lanes(ps)[j.index()];
     if (latest <= sync_.head(j)) continue;  // nothing new to offer
     const bool ineq1_ok = own_max - latest < ts;
     const bool ineq2_ok = partner_max - latest < tp;
@@ -434,10 +442,7 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
 
   const BufferMap& own = refreshed_bm();
   const SeqNum own_max = own.max_latest();
-  SeqNum partner_max = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) partner_max = std::max(partner_max, ps.bm.max_latest());
-  }
+  const SeqNum partner_max = freshest_partner_seq();
 
   // Batched scan over contiguous state, producing bit-words instead of a
   // per-call vector.  Inequality (1) is stated two ways in the paper: the
@@ -463,7 +468,7 @@ void Peer::run_adaptation(Tick now, bool cooldown_exempt) {
     }
     bool trip = (spread_mask & bit) != 0;
     if (ps->bm_time) {
-      const SeqNum latest = ps->bm.latest(j);
+      const SeqNum latest = partner_lanes(*ps)[j.index()];
       trip = trip || (p.adaptation_ineq1 && latest - own.latest(j) >= ts);
       // Inequality (2): the parent must not lag the best partner by T_p
       // or more (a better source is known).
@@ -491,6 +496,7 @@ void Peer::drop_worst_partner() {
   // lowest buffer map to make room for fresh candidates (§III-B: nodes
   // "drop some partners and re-establish partnership with other peers").
   const PartnerState* worst = nullptr;
+  SeqNum worst_latest = kNoSeq;
   for (const auto& ps : partners_) {
     bool is_parent = false;
     for (net::NodeId parent : parents_) {
@@ -500,8 +506,10 @@ void Peer::drop_worst_partner() {
       }
     }
     if (is_parent) continue;
-    if (worst == nullptr || ps.bm.max_latest() < worst->bm.max_latest()) {
+    const SeqNum latest = max_latest(partner_lanes(ps));
+    if (worst == nullptr || latest < worst_latest) {
       worst = &ps;
+      worst_latest = latest;
     }
   }
   if (worst != nullptr) sys_.break_partnership(id_, worst->id);
@@ -575,13 +583,7 @@ void Peer::on_tick(Tick now) {
     bool lagging = false;
     if (start_decided_) {
       const SeqNum own_max = refreshed_bm().max_latest();
-      SeqNum partner_max = kNoSeq;
-      for (const auto& ps : partners_) {
-        if (ps.bm_time) {
-          partner_max = std::max(partner_max, ps.bm.max_latest());
-        }
-      }
-      lagging = partner_max - own_max >= p.tp_block_count();
+      lagging = freshest_partner_seq() - own_max >= p.tp_block_count();
       // The broadcast clock (block timestamps) also exposes staleness a
       // collectively-stale partner set cannot: explore when the freshest
       // sub-stream is far behind the live edge.
@@ -840,11 +842,7 @@ void Peer::maybe_resync_forward(Tick now) {
 
   // Re-anchor at the freshest partner, T_p behind its latest block — the
   // same rule as the initial join (§IV-A).
-  SeqNum m = kNoSeq;
-  for (const auto& ps : partners_) {
-    if (ps.bm_time) m = std::max(m, ps.bm.max_latest());
-  }
-  const SeqNum s0 = m - p.tp_block_count();
+  const SeqNum s0 = freshest_partner_seq() - p.tp_block_count();
   // Only jump if it actually moves us forward meaningfully.
   const GlobalSeq target = global_of(SubstreamId(0), s0, p.substream_count);
   if (target <= last_deadline_counted_ +

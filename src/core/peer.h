@@ -14,6 +14,7 @@
 // but are fed directly from the encoder clock and never adapt or play.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -55,14 +56,29 @@ struct PeerSpec {
   units::BitRate upload_capacity = units::BitRate(1'000'000.0);
 };
 
-/// What this node knows about one partner.
+/// What this node knows about one partner.  The latest-block half of the
+/// partner's last buffer map (K sequence numbers) lives out of line in the
+/// owning peer's lane array; read it through Peer::partner_lanes().
+/// Members are ordered by alignment so the only padding is the tail.
 struct PartnerState {
-  net::NodeId id = net::kInvalidNode;
-  bool incoming = false;        ///< partner initiated the connection
   Tick established{};
-  BufferMap bm;                 ///< latest buffer map received from the partner
-  std::optional<Tick> bm_time;  ///< when bm was received (nullopt: never)
+  std::optional<Tick> bm_time;  ///< when its last BM arrived (nullopt: never)
+  net::NodeId id = net::kInvalidNode;
+  /// Subscription half of its last BM: bit j set when the partner requests
+  /// sub-stream j from us.
+  std::uint32_t sub_bits = 0;
+  bool incoming = false;  ///< partner initiated the connection
 };
+
+/// Highest of a partner's latest-block lanes (BufferMap::max_latest over
+/// Peer::partner_lanes()); kNoSeq when nothing was received.
+inline SeqNum max_latest(std::span<const SeqNum> lanes) noexcept {
+  SeqNum best = kNoSeq;
+  for (const SeqNum s : lanes) {
+    if (s > best) best = s;
+  }
+  return best;
+}
 
 /// Parent-side record of one sub-stream push connection.
 struct OutLink {
@@ -257,6 +273,18 @@ class Peer : private PeerProtocolState {
   const std::vector<PartnerState>& partners() const noexcept { return partners_; }
   PartnerState* find_partner(net::NodeId id) noexcept;
   const PartnerState* find_partner(net::NodeId id) const noexcept;
+  /// The latest-block lanes of `ps`'s last buffer map, one per sub-stream
+  /// (kNoSeq until its first BM arrives).  `ps` must be one of partners().
+  std::span<const SeqNum> partner_lanes(const PartnerState& ps) const noexcept {
+    const std::size_t k = parents_.size();  // one parent slot per sub-stream
+    const auto i = static_cast<std::size_t>(&ps - partners_.data());
+    assert(i < partners_.size());
+    return {partner_lanes_.data() + i * k, k};
+  }
+  /// Entries in the lane array: partner_count() * K while consistent.
+  std::size_t partner_lane_entries() const noexcept {
+    return partner_lanes_.size();
+  }
   std::size_t partner_count() const noexcept { return partners_.size(); }
   bool partners_full() const noexcept;
   net::NodeId parent_of(SubstreamId j) const { return parents_[j.index()]; }
@@ -283,6 +311,10 @@ class Peer : private PeerProtocolState {
   /// the sync-buffer heads only when SyncBuffer::version() moved — the
   /// dirty-bit cache behind current_bm() and the per-partner BM broadcast.
   const BufferMap& refreshed_bm() const;
+  /// Largest sequence number any partner's last buffer map advertised
+  /// (kNoSeq before the first arrives): the m of §IV-A and the partner-wide
+  /// max of Ineq. (2).
+  SeqNum freshest_partner_seq() const noexcept;
 
   // --- join / subscription logic ---
   void try_establish_partnerships(std::size_t want);
@@ -333,6 +365,9 @@ class Peer : private PeerProtocolState {
   CacheBuffer cache_;
   Mcache mcache_;
   std::vector<PartnerState> partners_;
+  /// K latest-block lanes per partner, in partners_ order (partner i owns
+  /// entries [i*K, (i+1)*K)); every partners_ insert/erase keeps it aligned.
+  std::vector<SeqNum> partner_lanes_;
   std::vector<net::NodeId> parents_;   ///< parent per sub-stream
   std::vector<Tick> sub_since_;        ///< subscription start per sub-stream
   std::vector<OutLink> out_links_;     ///< children we push to

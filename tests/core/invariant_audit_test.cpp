@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/invariants.h"
@@ -101,7 +102,7 @@ TEST_F(SeededCorruptionTest, AsymmetricPartnershipDetected) {
   PartnerState fake;
   fake.id = stranger;
   fake.established = Tick(0.0);  // long past the in-flight grace window
-  InvariantTestAccess::partners(p).push_back(fake);
+  InvariantTestAccess::add_partner(p, fake);
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();
@@ -116,7 +117,7 @@ TEST_F(SeededCorruptionTest, AsymmetryWithinGraceIsTolerated) {
   PartnerState fresh;
   fresh.id = stranger;
   fresh.established = sys_->now();  // acceptance round trip still in flight
-  InvariantTestAccess::partners(p).push_back(fresh);
+  InvariantTestAccess::add_partner(p, fresh);
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();
@@ -148,24 +149,44 @@ TEST_F(SeededCorruptionTest, DoubleParentSubstreamDetected) {
 
 TEST_F(SeededCorruptionTest, StaleBufferMapBitDetected) {
   Peer& p = playing_viewer();
-  PartnerState* view = nullptr;
-  for (auto& ps : InvariantTestAccess::partners(p)) {
+  const PartnerState* view = nullptr;
+  for (const auto& ps : p.partners()) {
     if (ps.bm_time.has_value()) {
       view = &ps;
       break;
     }
   }
   ASSERT_NE(view, nullptr) << "viewer never received a buffer map";
-  // The stored view now advertises a block far beyond anything the
-  // encoder has produced.
-  view->bm.set_latest(
-      SubstreamId(0),
-      sys_->source_head(SubstreamId(0), sys_->now()) + BlockCount(100));
+  // The stored view's sub-stream-0 lane now advertises a block far beyond
+  // anything the encoder has produced.
+  const auto i = static_cast<std::size_t>(view - p.partners().data());
+  InvariantTestAccess::lane_array(p)[i * static_cast<std::size_t>(
+                                             params_.substream_count)] =
+      sys_->source_head(SubstreamId(0), sys_->now()) + BlockCount(100);
 
   InvariantAuditor auditor(*sys_);
   const auto violations = auditor.audit();
   EXPECT_TRUE(has_rule(violations, InvariantRule::kBufferMapAgreement))
       << describe(violations);
+}
+
+TEST_F(SeededCorruptionTest, MisalignedPartnerLanesDetected) {
+  Peer& p = playing_viewer();
+  ASSERT_GT(p.partner_count(), 0u);
+  // One stray lane: every partner after the first would now read lanes
+  // shifted by one sub-stream.
+  InvariantTestAccess::lane_array(p).push_back(kNoSeq);
+
+  InvariantAuditor auditor(*sys_);
+  const auto violations = auditor.audit();
+  ASSERT_TRUE(has_rule(violations, InvariantRule::kBufferMapAgreement))
+      << describe(violations);
+  bool named = false;
+  for (const auto& v : violations) {
+    named = named || (v.node == p.id() &&
+                      v.detail.find("partner lane array") != std::string::npos);
+  }
+  EXPECT_TRUE(named) << describe(violations);
 }
 
 TEST_F(SeededCorruptionTest, RewoundHeadDetected) {

@@ -155,7 +155,8 @@ TEST(BmSubscriptionBitsTest, AdvertisedToTheServingPartner) {
   ASSERT_NE(view, nullptr);
   ASSERT_TRUE(view->bm_time.has_value());
   for (const SubstreamId j : substreams(params.substream_count)) {
-    EXPECT_EQ(view->bm.subscribed(j), viewer->parent_of(j) == 0u)
+    EXPECT_EQ(((view->sub_bits >> j.index()) & 1u) != 0,
+              viewer->parent_of(j) == 0u)
         << "sub-stream " << j.value();
   }
 }

@@ -209,8 +209,7 @@ TEST_F(StaleIdTest, MessagesAndStateNamingADepartedNodeAreNoOps) {
   PartnerState phantom;
   phantom.id = victim;
   phantom.established = Tick(0.0);
-  phantom.bm = BufferMap(params_.substream_count);
-  InvariantTestAccess::partners(*h).push_back(phantom);
+  InvariantTestAccess::add_partner(*h, phantom);
   InvariantTestAccess::parents(*h)[0] = victim;
 
   simulation_.run_until(simulation_.now() + units::Duration(30.0));

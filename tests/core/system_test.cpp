@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "logging/sessions.h"
 #include "net/address.h"
 
@@ -241,6 +244,53 @@ TEST(SystemTest, ParentDepartureTriggersReselection) {
   if (c->alive() && c->phase() == PeerPhase::kPlaying) {
     const auto& st = c->stats();
     EXPECT_GT(st.blocks_on_time, 0u);
+  }
+}
+
+TEST(SystemTest, PartnerLanesSurviveMiddleErase) {
+  // Partner records and their buffer-map lanes are stored apart; dropping
+  // a partner from the middle must leave every survivor's lanes and
+  // subscription word as they were.
+  sim::Simulation simulation(31);
+  System sys(simulation, fast_params(), small_config(1), nullptr);
+  sys.start();
+  simulation.run_until(sim::Time(5.0));
+  sim::Rng& rng = simulation.rng();
+  std::vector<net::NodeId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(sys.join(viewer(static_cast<std::uint64_t>(400 + i),
+                                  net::ConnectionType::kDirect, 1e6, rng)));
+  }
+  Peer& x = *sys.peer(ids[0]);
+  const int k = sys.params().substream_count;
+  std::vector<BufferMap> maps;
+  for (int i = 1; i <= 3; ++i) {
+    BufferMap bm(k);
+    for (const SubstreamId j : substreams(k)) {
+      bm.set_latest(j, SeqNum(100 * i + j.value()));
+    }
+    maps.push_back(bm);
+    x.on_partnership_established(ids[static_cast<std::size_t>(i)],
+                                 /*incoming=*/true);
+    x.on_bm_received(ids[static_cast<std::size_t>(i)], bm, 1u << (i - 1));
+  }
+  ASSERT_EQ(x.partner_count(), 3u);
+
+  x.on_partner_left(ids[2]);
+
+  ASSERT_EQ(x.partner_count(), 2u);
+  EXPECT_EQ(x.find_partner(ids[2]), nullptr);
+  EXPECT_EQ(x.partner_lane_entries(), 2u * static_cast<std::size_t>(k));
+  for (const int i : {1, 3}) {
+    const PartnerState* ps = x.find_partner(ids[static_cast<std::size_t>(i)]);
+    ASSERT_NE(ps, nullptr);
+    EXPECT_EQ(ps->sub_bits, 1u << (i - 1));
+    const std::span<const SeqNum> lanes = x.partner_lanes(*ps);
+    for (const SubstreamId j : substreams(k)) {
+      EXPECT_EQ(lanes[j.index()],
+                maps[static_cast<std::size_t>(i - 1)].latest(j))
+          << "partner " << i << " sub-stream " << j.value();
+    }
   }
 }
 

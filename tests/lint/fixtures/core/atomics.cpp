@@ -2,7 +2,8 @@
 // nondeterministically.  The atomic member below carries no `// census:`
 // justification, so census mode rejects it (the lint_census_unjustified
 // ctest); the justified atomics under src/sim/ are listed in
-// tools/lint/shared_state.json.
+// tools/lint/shared_state.json.  The reference parameter of bump()
+// declares no object, so the census must not list it.
 //
 // This file is lint-test data only — it is never compiled.
 

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -141,9 +142,10 @@ PROPERTY_TEST(ProtocolProperties, BufferMapsMatchBuffers) {
         if (!ps.bm_time) continue;
         const core::Peer* q = sys.peer(ps.id);
         if (q == nullptr || !q->alive()) continue;
+        const std::span<const core::SeqNum> lanes = p.partner_lanes(ps);
         for (core::SubstreamId j : core::substreams(k)) {
-          if (ps.bm.latest(j) != core::kNoSeq &&
-              ps.bm.latest(j) > q->head(j)) {
+          if (lanes[j.index()] != core::kNoSeq &&
+              lanes[j.index()] > q->head(j)) {
             err = "node " + node_str(id) + " stores a BM for partner " +
                   node_str(ps.id) + " that is ahead of the partner's head";
             return;
@@ -255,7 +257,8 @@ std::optional<std::string> adaptation_liveness(const GeneratedCase& c,
         core::SeqNum partner_max = core::kNoSeq;
         for (const core::PartnerState& ps : p.partners()) {
           if (ps.bm_time) {
-            partner_max = std::max(partner_max, ps.bm.max_latest());
+            partner_max =
+                std::max(partner_max, core::max_latest(p.partner_lanes(ps)));
           }
         }
         for (core::SubstreamId j : core::substreams(k)) {
@@ -266,10 +269,10 @@ std::optional<std::string> adaptation_liveness(const GeneratedCase& c,
           const core::PartnerState* ps = p.find_partner(parent);
           if (ps == nullptr) continue;
           const bool ineq1_spread = own_max - p.head(j) >= ts;
+          const core::SeqNum latest = p.partner_lanes(*ps)[j.index()];
           const bool ineq1_parent_lag =
-              ps->bm_time && ps->bm.latest(j) - p.head(j) >= ts;
-          const bool ineq2 =
-              ps->bm_time && partner_max - ps->bm.latest(j) >= tp;
+              ps->bm_time && latest - p.head(j) >= ts;
+          const bool ineq2 = ps->bm_time && partner_max - latest >= tp;
           if (ineq1_spread || ineq1_parent_lag || ineq2) {
             violated = true;
             break;

@@ -646,19 +646,16 @@ const std::regex& sync_mutex_member_re() {
   return re;
 }
 
-const std::regex& atomic_use_re() {
-  // std::atomic<T>, std::atomic_flag/std::atomic_bool/... or a bare
-  // atomic<T> spelling.  Word-bounded so e.g. "atomicity" in an
-  // identifier never matches.
-  static const std::regex re(
-      R"((\bstd\s*::\s*atomic\w*\b)|(\batomic\s*<))");
-  return re;
-}
-
 const std::regex& atomic_decl_name_re() {
-  // Named atomic declaration, for the census inventory.
+  // Declaration of an atomic object, for the census inventory: the type
+  // (std::atomic<T>, std::atomic_flag/std::atomic_bool/..., or a bare
+  // atomic<T>), then the object's name, then an initializer or the end of
+  // the declarator.  A reference or pointer to an atomic (a parameter such
+  // as `std::atomic<int>& n`) and calls such as std::atomic_thread_fence()
+  // declare no shared object and do not match.
   static const std::regex re(
-      R"(\b(?:std\s*::\s*)?atomic\w*(?:\s*<[^;{=]*>)?\s+([A-Za-z_]\w*))");
+      R"(\b(?:std\s*::\s*atomic\w*(?:\s*<[^;{=]*>)?|atomic\s*<[^;{=]*>))"
+      R"(\s+([A-Za-z_]\w*)\s*[;{=(,\[])");
   return re;
 }
 
@@ -995,12 +992,9 @@ void scan_file(const FileContext& ctx, const std::vector<std::string>& lines,
         }
       }
     }
-    if (census != nullptr && std::regex_search(l, atomic_use_re())) {
-      std::smatch m;
-      const std::string name =
-          std::regex_search(l, m, atomic_decl_name_re()) ? m[1].str()
-                                                         : "<expr>";
-      census->push_back({"atomic", ctx.display_path, name, lineno});
+    if (std::smatch m;
+        census != nullptr && std::regex_search(l, m, atomic_decl_name_re())) {
+      census->push_back({"atomic", ctx.display_path, m[1].str(), lineno});
     }
     if (ctx.raw_int_scope) {
       std::smatch m;
