@@ -28,11 +28,13 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
 #include "core/buffer_map.h"
 #include "core/params.h"
+#include "core/peer.h"
 #include "core/stream_types.h"
 #include "logging/log_server.h"
 #include "net/types.h"
@@ -187,16 +189,20 @@ struct MicroResult {
 // Fixture shared by the micro loops: K sub-streams, P partners, one
 // parent assignment, plausibly-skewed head positions.  The seed side
 // mirrors the seed's data layout (vector-backed heads and BMs, partner
-// records found by linear scan); the packed side mirrors the current one.
+// records found by linear scan); the packed side mirrors the current one:
+// the node's own map is a packed BufferMap, and each partner's last map is
+// K lanes out of line in one lane array (Peer::partner_lanes).
 struct MicroFixture {
   static constexpr int kSubstreams = 4;
   static constexpr std::size_t kPartners = 5;
+  static constexpr auto kLanes = static_cast<std::size_t>(kSubstreams);
 
   core::SeqNum heads[kSubstreams];
   net::NodeId parents[kSubstreams];
   net::NodeId partner_ids[kPartners];
   core::BufferMap own;
-  core::BufferMap partner_bms[kPartners];
+  /// K lanes per partner, in partner order (Peer's partner_lanes_).
+  std::vector<core::SeqNum> partner_lanes;
   bool partner_has_bm[kPartners];
   std::vector<core::SeqNum> ref_heads;  ///< the seed's SyncBuffer heads
   RefBufferMap ref_own;
@@ -215,9 +221,9 @@ struct MicroFixture {
       ref_own.latest_[static_cast<std::size_t>(j)] = heads[j];
     }
     ref_partners.resize(kPartners);
+    partner_lanes.assign(kPartners * kLanes, core::kNoSeq);
     for (std::size_t p = 0; p < kPartners; ++p) {
       partner_ids[p] = net::NodeId(static_cast<std::uint32_t>(p + 1));
-      partner_bms[p] = core::BufferMap(kSubstreams);
       partner_has_bm[p] = true;
       ref_partners[p].id = partner_ids[p];
       ref_partners[p].bm = RefBufferMap(kSubstreams);
@@ -229,10 +235,15 @@ struct MicroFixture {
                            3 + p + (static_cast<std::size_t>(j) == p % 4
                                         ? 40
                                         : 0)));
-        partner_bms[p].set_latest(core::SubstreamId(j), v);
+        partner_lanes[p * kLanes + static_cast<std::size_t>(j)] = v;
         ref_partners[p].bm.latest_[static_cast<std::size_t>(j)] = v;
       }
     }
+  }
+
+  /// Partner p's K lanes (Peer::partner_lanes).
+  std::span<const core::SeqNum> lanes_of(std::size_t p) const {
+    return {partner_lanes.data() + p * kLanes, kLanes};
   }
 };
 
@@ -363,7 +374,8 @@ MicroResult micro_adaptation_scan(const MicroFixture& fx,
     core::SeqNum partner_max = core::kNoSeq;
     for (std::size_t p = 0; p < MicroFixture::kPartners; ++p) {
       if (fx.partner_has_bm[p]) {
-        partner_max = std::max(partner_max, fx.partner_bms[p].max_latest());
+        partner_max =
+            std::max(partner_max, core::max_latest(fx.lanes_of(p)));
       }
     }
     const std::uint32_t spread_mask = own.lag_mask(own_max, ts);
@@ -372,22 +384,21 @@ MicroResult micro_adaptation_scan(const MicroFixture& fx,
     for (int j = 0; j < MicroFixture::kSubstreams; ++j) {
       const std::uint32_t bit = 1u << j;
       const net::NodeId parent = fx.parents[j];
-      const core::BufferMap* bm = nullptr;
-      bool has_bm = false;
+      std::size_t found = MicroFixture::kPartners;
       for (std::size_t p = 0; p < MicroFixture::kPartners; ++p) {
         if (fx.partner_ids[p] == parent) {
-          bm = &fx.partner_bms[p];
-          has_bm = fx.partner_has_bm[p];
+          found = p;
           break;
         }
       }
-      if (bm == nullptr) {
+      if (found == MicroFixture::kPartners) {
         orphaned |= bit;
         continue;
       }
       bool trip = (spread_mask & bit) != 0;
-      if (has_bm) {
-        const core::SeqNum latest = bm->latest(core::SubstreamId(j));
+      if (fx.partner_has_bm[found]) {
+        const core::SeqNum latest =
+            fx.lanes_of(found)[static_cast<std::size_t>(j)];
         trip = trip || latest - own.latest(core::SubstreamId(j)) >= ts;
         trip = trip || partner_max - latest >= tp;
       }
@@ -433,7 +444,8 @@ MicroResult micro_wire_size(const MicroFixture& fx, std::uint64_t iters) {
 
 // Need-set: "blocks I need that you have" — which of a partner's lanes are
 // strictly ahead of ours.  The seed idiom materializes the lane list in a
-// fresh vector; the packed map answers with one need_mask() word.
+// fresh vector; the packed side folds the partner's out-of-line lanes
+// against the own map into one mask word.
 MicroResult micro_need_set(const MicroFixture& fx, std::uint64_t iters) {
   MicroResult r;
   r.name = "need_set";
@@ -459,8 +471,15 @@ MicroResult micro_need_set(const MicroFixture& fx, std::uint64_t iters) {
   a0 = g_allocations;
   r.new_ns_per_op = time_loop(iters, [&] {
     for (std::size_t p = 0; p < MicroFixture::kPartners; ++p) {
-      sink += static_cast<std::uint64_t>(
-          std::popcount(fx.partner_bms[p].need_mask(fx.own)));
+      const std::span<const core::SeqNum> lanes = fx.lanes_of(p);
+      std::uint32_t need = 0;
+      for (int j = 0; j < MicroFixture::kSubstreams; ++j) {
+        need |= static_cast<std::uint32_t>(
+                    lanes[static_cast<std::size_t>(j)] >
+                    fx.own.latest(core::SubstreamId(j)))
+                << j;
+      }
+      sink += static_cast<std::uint64_t>(std::popcount(need));
     }
   });
   r.new_allocs_per_op = static_cast<double>(g_allocations - a0) /

@@ -126,10 +126,11 @@ COOLSTREAM_LAYOUT_PIN(core::PeerStats, 96);  // hole-free: 7*8 + 10*4
 COOLSTREAM_LAYOUT_AUDIT(core::PeerProtocolState, 448);
 COOLSTREAM_LAYOUT_PIN(core::PeerProtocolState, 424);
 
-// What a departed session keeps (System::leave): spec + stats + 3*8 +
-// 16 lanes * 8.
-COOLSTREAM_LAYOUT_AUDIT(core::DepartedPeer, 320);
-COOLSTREAM_LAYOUT_PIN(core::DepartedPeer, 272);
+// What a departed session keeps (System::leave): spec + stats + 3*8.  Its
+// K final heads live out of line in System's departed-heads array (one
+// core::SeqNum per lane, rolled up by bytes_per_departed_session below).
+COOLSTREAM_LAYOUT_AUDIT(core::DepartedPeer, 160);
+COOLSTREAM_LAYOUT_PIN(core::DepartedPeer, 144);
 
 COOLSTREAM_LAYOUT_AUDIT(net::Ipv4Address, 4);
 COOLSTREAM_LAYOUT_PIN(net::Ipv4Address, 4);
@@ -290,7 +291,7 @@ inline constexpr TypeLayout kRegistry[] = {
     entry<PeerSpec, 5>(0),
     entry<PeerStats, 17>(0),
     // core: what a departed session keeps (never charged per live peer)
-    entry<DepartedPeer, 6>(0),
+    entry<DepartedPeer, 5>(0),
     // net: leaf value type (private rep; audited as opaque)
     leaf_entry<net::Ipv4Address>(0),
     // logging: transient §V-A report messages (not resident per peer)
@@ -319,6 +320,13 @@ constexpr std::size_t bytes_per_peer() {
   std::size_t total = 0;
   for (const TypeLayout& t : kRegistry) total += t.size * t.per_peer;
   return total;
+}
+
+/// Bytes one departed session keeps at default Params: its DepartedPeer
+/// record plus its K out-of-line final heads.
+constexpr std::size_t bytes_per_departed_session() {
+  return AuditTraits<DepartedPeer>::size +
+         kSubstreamSlots * AuditTraits<SeqNum>::size;
 }
 
 /// The budget gate: the provisioned roll-up (2,376 bytes at default

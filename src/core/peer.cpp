@@ -264,7 +264,11 @@ void Peer::on_bm_received(net::NodeId from, const BufferMap& bm,
   const std::size_t k = parents_.size();
   assert(bm.substream_count() == static_cast<int>(k));
   const auto i = static_cast<std::size_t>(ps - partners_.data());
-  std::copy_n(bm.latest_data(), k, partner_lanes_.data() + i * k);
+  // A plain loop over the K lanes: std::copy_n compiled to an out-of-line
+  // memmove call on every receipt, for a copy of at most 16 lanes.
+  const SeqNum* src = bm.latest_data();
+  SeqNum* dst = partner_lanes_.data() + i * k;
+  for (std::size_t j = 0; j < k; ++j) dst[j] = src[j];
   ps->sub_bits = subscribed;
   ps->bm_time = sys_.now();
   if (phase_ == PeerPhase::kJoining && !start_decided_ && !first_bm_at_) {

@@ -117,17 +117,19 @@ struct PeerStats {
 /// final observable state here and destroys the `Peer`.  It holds only
 /// what outlives a departure — the immutable spec (read by reachability
 /// and capable-parent checks) and the end-of-run state digests, audits and
-/// figures read — so a departed session costs a few hundred bytes instead
-/// of a whole peer.  A departed node's phase is kLeft and it has no
-/// partners, so neither is stored.  Members are 8-byte fields only, so the
-/// struct packs hole-free (layout_audit.h pins the size).
+/// figures read — so a departed session costs under two hundred bytes
+/// instead of a whole peer.  The K final sub-stream heads live out of line
+/// in System's departed-heads array, K entries per record in departure
+/// order (read them through System::node).  A departed node's phase is
+/// kLeft and it has no partners, so neither is stored.  Members are 8-byte
+/// fields only, so the struct packs hole-free (layout_audit.h pins the
+/// size).
 struct DepartedPeer {
   PeerSpec spec;
   PeerStats stats;
   GlobalSeq play_start_seq = kNoSeq;
   GlobalSeq playhead = kNoSeq;
   std::uint64_t blocks_received = 0;
-  SeqNum heads[BufferMap::kMaxSubstreams]{};  ///< first K lanes used
 };
 
 /// The hot, trivially-copyable slice of a peer: every scalar the protocol

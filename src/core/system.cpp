@@ -155,7 +155,7 @@ void System::leave(net::NodeId id, bool graceful) {
   rec.playhead = p->playhead();
   rec.blocks_received = p->sync().blocks_received();
   for (SubstreamId j : substreams(params_.substream_count)) {
-    rec.heads[j.index()] = p->head(j);
+    departed_heads_.push_back(p->head(j));
   }
   index_of_[id] = static_cast<std::uint32_t>(departed_.size());
   departed_.push_back(rec);
@@ -198,7 +198,10 @@ const Peer* System::peer(net::NodeId id) const noexcept {
 NodeView System::node(net::NodeId id) const noexcept {
   assert(id < peers_.size());
   const Peer* p = peers_[id].get();
-  return p != nullptr ? NodeView(*p) : NodeView(departed_[index_of_[id]]);
+  if (p != nullptr) return NodeView(*p);
+  const std::uint32_t i = index_of_[id];
+  const auto k = static_cast<std::size_t>(params_.substream_count);
+  return NodeView(departed_[i], departed_heads_.data() + i * k);
 }
 
 int System::max_partners_of(const Peer& p) const noexcept {
@@ -525,7 +528,10 @@ void System::flow_rates(std::size_t shard, Duration dt) {
     if (links.empty()) continue;
 
     // Demands per outgoing sub-stream connection (blocks/s), from heads
-    // frozen at tick start — no phase writes them until F2.
+    // frozen at tick start — no phase writes them until F2.  A stale link
+    // (child gone, or no longer taking the sub-stream from us) keeps
+    // demand 0, so it is granted no rate and is compacted below: each
+    // child is resolved once per link.
     demands.assign(links.size(), units::BlockRate::zero());
     bool any_stale = false;
     for (std::size_t k = 0; k < links.size(); ++k) {
@@ -534,7 +540,7 @@ void System::flow_rates(std::size_t shard, Duration dt) {
       if (child == nullptr || !child->alive() ||
           child->parent_of(l.substream) != id) {
         any_stale = true;
-        continue;  // demand stays 0; link compacted below
+        continue;
       }
       const BlockCount backlog =
           parent->head(l.substream) - child->head(l.substream);
@@ -561,27 +567,22 @@ void System::flow_rates(std::size_t shard, Duration dt) {
     // pass the parent_of() check for a given (child, sub-stream), so each
     // slot has a unique writer this phase.
     for (std::size_t k = 0; k < links.size(); ++k) {
-      if (rates[k] <= units::BlockRate::zero()) continue;
+      if (rates[k] <= units::BlockRate::zero()) continue;  // stale, or none
       const OutLink& l = links[k];
-      const Peer* child = peer(l.child);
-      if (child == nullptr || !child->alive() ||
-          child->parent_of(l.substream) != id) {
-        continue;  // stale link: never granted a slot
-      }
       InFlow& slot = inflow_[l.child * k_streams + l.substream.index()];
       slot.rate = rates[k];
       slot.parent_head = parent->head(l.substream);
       slot.parent = id;
-      slot.pushed = 0;
+      slot.pushed = BlockCount::zero();
       slot.stamp = tick_stamp_;
     }
 
     if (any_stale) {
-      std::erase_if(links, [this, id](const OutLink& l) {
-        const Peer* child = peer(l.child);
-        return child == nullptr || !child->alive() ||
-               child->parent_of(l.substream) != id;
-      });
+      std::size_t kept = 0;
+      for (std::size_t k = 0; k < links.size(); ++k) {
+        if (demands[k] > units::BlockRate::zero()) links[kept++] = links[k];
+      }
+      links.resize(kept);
     }
   }
 }
@@ -609,25 +610,26 @@ void System::flow_apply(std::size_t shard, Duration dt) {
         child->count_deadline_skip();
         child->sync().start_at(j, dead + BlockCount(1));
       }
+      if (credit < 1.0 || child->head(j) >= parent_head) continue;
       // The parent's cache window is a pure function of its frozen head
       // and the (deployment-wide) window size, so the child computes it
       // from its own CacheBuffer — no cross-shard read.
       const SeqNum oldest = child->cache().oldest(parent_head);
-      while (credit >= 1.0 && child->head(j) < parent_head) {
-        SeqNum next = child->head(j) + BlockCount(1);
-        if (next < oldest) {
-          // The child fell behind the parent's cache window: the missing
-          // range is gone (pushed out by playout) and must be skipped.
-          child->handle_window_gap(j, oldest);
-          next = child->head(j) + BlockCount(1);
-          if (next > parent_head) break;
-        }
-        child->sync().insert(j, next);
-        credit -= 1.0;
-        ++blocks;
-        ++slot.pushed;
-        child->add_bytes_down(block_bytes);
+      if (child->head(j) + BlockCount(1) < oldest) {
+        // The child fell behind the parent's cache window: the missing
+        // range is gone (pushed out by playout) and must be skipped.
+        child->handle_window_gap(j, oldest);
       }
+      // The parent pushes the blocks in order, so the grant is one run
+      // from the head: as many whole blocks as the credit covers.
+      const BlockCount n =
+          std::min(units::whole_blocks(credit), parent_head - child->head(j));
+      if (n <= BlockCount::zero()) continue;
+      child->sync().advance(j, n);
+      units::spend(credit, n);
+      units::tally(blocks, n);
+      slot.pushed += n;
+      child->add_bytes_down(block_bytes * n);
     }
   }
 }

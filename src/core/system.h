@@ -97,12 +97,14 @@ struct SystemStats {
 };
 
 /// One node's observable state, live or departed: the live `Peer`, or the
-/// DepartedPeer record its departure left behind (System::node).  A view
-/// is two pointers; it stays valid until the next join() or leave().
+/// DepartedPeer record its departure left behind together with its K
+/// final heads (System::node).  A view is three pointers; it stays valid
+/// until the next join() or leave().
 class NodeView {
  public:
   explicit NodeView(const Peer& live) noexcept : live_(&live) {}
-  explicit NodeView(const DepartedPeer& gone) noexcept : gone_(&gone) {}
+  NodeView(const DepartedPeer& gone, const SeqNum* gone_heads) noexcept
+      : gone_(&gone), gone_heads_(gone_heads) {}
 
   bool alive() const noexcept { return live_ != nullptr && live_->alive(); }
   const PeerSpec& spec() const noexcept {
@@ -122,7 +124,7 @@ class NodeView {
     return live_ != nullptr ? live_->playhead() : gone_->playhead;
   }
   SeqNum head(SubstreamId j) const {
-    return live_ != nullptr ? live_->head(j) : gone_->heads[j.index()];
+    return live_ != nullptr ? live_->head(j) : gone_heads_[j.index()];
   }
   std::uint64_t blocks_received() const noexcept {
     return live_ != nullptr ? live_->sync().blocks_received()
@@ -135,6 +137,7 @@ class NodeView {
  private:
   const Peer* live_ = nullptr;
   const DepartedPeer* gone_ = nullptr;
+  const SeqNum* gone_heads_ = nullptr;  ///< K entries
 };
 
 /// One broadcast channel.
@@ -326,8 +329,8 @@ class System {
   struct InFlow {
     units::BlockRate rate{};       ///< granted transfer rate this tick
     SeqNum parent_head{};          ///< parent's head, frozen at tick start
+    BlockCount pushed{};           ///< blocks the child applied (bytes_up)
     net::NodeId parent = net::kInvalidNode;
-    std::uint32_t pushed = 0;      ///< blocks the child applied (bytes_up)
     std::uint32_t stamp = 0;       ///< tick_stamp_ when written
   };
 
@@ -336,7 +339,7 @@ class System {
   /// tick-start heads and publish them as InFlow slots.
   void flow_rates(std::size_t shard, Duration dt);
   /// Phase F2 (sharded by child): apply each sub-stream's slot — credits,
-  /// deadline/window skips, block inserts.
+  /// deadline/window skips, then the granted blocks as one in-order run.
   void flow_apply(std::size_t shard, Duration dt);
   /// Phase P (sharded by peer): tally bytes_up from the slots, then run
   /// Peer::on_tick with every cross-peer interaction deferred as effects.
@@ -370,6 +373,9 @@ class System {
   /// departed_ (peers_[id] tells which).
   std::vector<std::uint32_t> index_of_;
   std::vector<DepartedPeer> departed_;  ///< departure order
+  /// The departed sessions' final sub-stream heads, K per departed_ entry
+  /// in the same order (the record keeps no fixed 16-lane array).
+  std::vector<SeqNum> departed_heads_;
   std::size_t live_viewers_ = 0;
   std::uint64_t next_session_id_ = 1;
   std::uint64_t next_user_auto_ = 1'000'000'000ULL;

@@ -14,6 +14,8 @@
 //   BlockIndex +- BlockCount -> BlockIndex
 //   BitRate   * Duration  -> Bytes           (and Bytes / Duration -> BitRate)
 //   BlockRate * Duration  -> double blocks   (fluid data plane; fractional)
+//   whole_blocks(double blocks) -> BlockCount (the credit's whole blocks)
+//   Bytes     * BlockCount -> Bytes          (a run of equal-size blocks)
 //
 // and *no* cross-type comparison or implicit construction.  `value()` is
 // the single escape hatch; outside whitelisted boundary files (config
@@ -203,6 +205,12 @@ class BlockCount {
   std::int64_t v_ = 0;
 };
 
+/// Adds a non-negative block span to a raw event tally (blocks received,
+/// blocks moved): the statistics counters are plain integers.
+constexpr void tally(std::uint64_t& counter, BlockCount n) noexcept {
+  counter += static_cast<std::uint64_t>(n.value());
+}
+
 /// A position in a block sequence (per-sub-stream or interleaved global).
 /// -1 is the protocol's "nothing yet" sentinel.
 class BlockIndex {
@@ -371,6 +379,11 @@ class Bytes {
   std::uint64_t v_ = 0;
 };
 
+/// Volume of a run of `n` blocks of `per_block` bytes each (n >= 0).
+constexpr Bytes operator*(Bytes per_block, BlockCount n) noexcept {
+  return per_block * static_cast<std::uint64_t>(n.value());
+}
+
 /// A data rate in bits per second (the paper's R, capacities, ...).
 class BitRate {
  public:
@@ -470,6 +483,19 @@ class BlockRate {
  private:
   double v_ = 0.0;
 };
+
+/// Whole blocks in a non-negative fluid block credit (its floor): what the
+/// fluid data plane can materialize now.
+constexpr BlockCount whole_blocks(double credit) noexcept {
+  return BlockCount(static_cast<std::int64_t>(credit));
+}
+
+/// Takes `n` materialized blocks out of a fluid credit.  Exact for
+/// 0 <= n <= credit < 2^53: both are multiples of the credit's ulp, so one
+/// subtraction of n equals n subtractions of 1.
+constexpr void spend(double& credit, BlockCount n) noexcept {
+  credit -= static_cast<double>(n.value());
+}
 
 /// Average block rate over a span (span of sequence space / span of time).
 constexpr BlockRate rate_of(BlockCount c, Duration d) noexcept {

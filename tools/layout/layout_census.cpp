@@ -3,7 +3,8 @@
 //
 // Usage:
 //   layout_census --bench=FILE        write the bench JSON (macro: the
-//                                     bytes/peer roll-up) in the shape
+//                                     bytes/peer roll-up and the bytes a
+//                                     departed session keeps) in the shape
 //                                     tools/bench_record.sh splices into
 //                                     BENCH_sim_scale.json
 //
@@ -28,14 +29,15 @@ std::string render_bench() {
       "  \"bench\": \"sim_scale\",\n"
       "  \"macro\": {\"bytes_per_peer\": %zu, \"hot_state_bytes\": %zu, "
       "\"partner_slots\": %zu, \"mcache_slots\": %zu, "
-      "\"audited_types\": %zu},\n"
+      "\"audited_types\": %zu, \"bytes_per_departed_session\": %zu},\n"
       "  \"micro\": []\n"
       "}\n",
       coolstream::core::layout::bytes_per_peer(),
       sizeof(coolstream::core::PeerProtocolState),
       coolstream::core::layout::kPartnerSlots,
       coolstream::core::layout::kMcacheSlots,
-      coolstream::core::layout::kRegistrySize);
+      coolstream::core::layout::kRegistrySize,
+      coolstream::core::layout::bytes_per_departed_session());
   return std::string(buf);
 }
 
